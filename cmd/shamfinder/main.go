@@ -113,8 +113,8 @@ domain lists may span any TLD (.com, .net, co.uk, xn--p1ai, ...); full
 FQDNs are scanned label-aware and references index on their registrable
 label (amazon.co.uk protects "amazon").
 
--backend selects the detection backend: postings (the per-position
-index, pinpoints each substituted character), skeleton (the TR39
+-backend selects the detection backend: postings (Algorithm 1's
+pairwise check, pinpoints each substituted character), skeleton (the TR39
 whole-label prototype map, catches many-to-one homographs like
 rnicrosoft/vvikipedia that no same-length comparison can see — and
 therefore scans pure-ASCII names too), or both (the union, each match

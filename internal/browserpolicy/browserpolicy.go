@@ -154,19 +154,22 @@ func (p *Policy) Decide(label string) (Display, Reason) {
 }
 
 // wholeScriptConfusable reports whether every letter of a single-script
-// non-Latin label maps to a Latin prototype in the UC database — the
-// "аррӏе.com" class Chrome punycodes.
+// non-Latin label maps to an all-Latin prototype in the UC database —
+// the "аррӏе.com" class Chrome punycodes. A multi-rune prototype counts
+// only if every rune of it is ASCII.
 func (p *Policy) wholeScriptConfusable(label string) bool {
 	if p.UC == nil {
 		return false
 	}
+	var buf [16]rune
 	for _, r := range label {
 		if scriptOf(r) == scCommon {
 			continue
 		}
-		proto := p.UC.SkeletonRune(r)
-		if proto == r || proto >= 0x80 {
-			return false
+		for _, pr := range p.UC.SkeletonAppend(buf[:0], r) {
+			if pr >= 0x80 {
+				return false
+			}
 		}
 	}
 	return true

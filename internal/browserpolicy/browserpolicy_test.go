@@ -59,6 +59,16 @@ func TestWholeScriptConfusable(t *testing.T) {
 	if d, _ := p.Decide("домен"); d != DisplayUnicode {
 		t.Error("genuine Cyrillic word punycoded")
 	}
+	// A multi-rune prototype makes a letter Latin-confusable only when
+	// every rune of it is ASCII, not just the first.
+	p.UC.Add(0x043C, []rune("rn"), "м")        // Cyrillic em
+	p.UC.Add(0x0448, []rune{'w', 0x0301}, "ш") // Cyrillic sha: w + combining acute
+	if d, r := p.Decide("рам"); d != DisplayPunycode || r != ReasonWholeScript {
+		t.Errorf("рам: %v, %v", d, r)
+	}
+	if d, r := p.Decide("раш"); d != DisplayUnicode {
+		t.Errorf("раш: %v, %v (prototype has a non-ASCII tail)", d, r)
+	}
 }
 
 func TestCJKKanaMixAllowed(t *testing.T) {

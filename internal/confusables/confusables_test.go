@@ -97,12 +97,14 @@ func TestSkeletonChainsAndCycles(t *testing.T) {
 	db := New()
 	db.Add('x', []rune{'y'}, "")
 	db.Add('y', []rune{'z'}, "")
-	if db.SkeletonRune('x') != 'z' {
-		t.Fatal("chains must resolve transitively")
+	if got := string(db.SkeletonAppend(nil, 'x')); got != "z" {
+		t.Fatalf("SkeletonAppend(x) = %q: chains must resolve transitively", got)
 	}
 	// A cycle must terminate.
 	db.Add('z', []rune{'x'}, "")
-	_ = db.SkeletonRune('x') // must not hang
+	if got := db.SkeletonAppend(nil, 'x'); len(got) != 1 {
+		t.Fatalf("SkeletonAppend(x) over a cycle = %q, want one rune", string(got))
+	}
 }
 
 func TestRestrictSources(t *testing.T) {

@@ -2,23 +2,22 @@ package core
 
 import "fmt"
 
-// Backend selects which detection index answers a query. The two
-// backends see different attack classes: the per-(length,position)
-// posting lists (BackendPostings) prove exactly which characters were
-// substituted but can only represent same-length, rune-for-rune
-// substitutions; the TR39 skeleton index (BackendSkeleton) compares
-// whole-label prototypes in one hash probe, catching many-to-one and
-// length-changing confusions ("rn"→"m", "vv"→"w") the pairwise model
-// provably cannot. BackendBoth unions the two, tagging each match with
-// the backend(s) that found it.
+// Backend selects which matches a query reports. Every backend starts
+// from the same probe of the TR39 skeleton index; they differ in which
+// hits they keep. BackendPostings keeps the hits Algorithm 1's pairwise
+// check verifies, proving exactly which characters were substituted —
+// same-length, rune-for-rune substitutions only. BackendSkeleton keeps
+// every hit, catching many-to-one and length-changing confusions
+// ("rn"→"m", "vv"→"w") the pairwise model provably cannot. BackendBoth
+// reports both, tagging each match with the backend(s) that found it.
 type Backend uint8
 
 const (
-	// BackendPostings is the per-(length,position) posting-list index.
+	// BackendPostings keeps the skeleton hits that pass the pairwise check.
 	BackendPostings Backend = 1 << iota
-	// BackendSkeleton is the whole-label TR39 skeleton hash index.
+	// BackendSkeleton keeps every skeleton hit but the reference itself.
 	BackendSkeleton
-	// BackendBoth runs both backends and unions their matches.
+	// BackendBoth reports the verified hits, then the other skeleton hits.
 	BackendBoth = BackendPostings | BackendSkeleton
 )
 

@@ -4,20 +4,22 @@
 // differential characters so downstream countermeasures (blocklists, the
 // Figure 12 warning UI) can explain exactly which character was substituted.
 //
-// The engine is indexed: instead of scanning every same-length reference
-// per label, NewDetector builds a per-(length, position) posting-list index
-// mapping each rune to the references whose character at that position
-// equals it or is one of its homoglyphs. An incoming label intersects its
-// positions' posting lists to get a small candidate set, which is then
-// verified character-by-character. Labels containing any rune unknown at
-// some position reject in O(label length). The seed linear scan survives
-// as DetectLabelLinear, the parity baseline for tests and ablations.
+// The engine is indexed by one structure, the TR39 skeleton map: every
+// rune maps to the canonical prototype of its confusable component, and
+// each reference's whole-label skeleton keys a hash map. An incoming label
+// is decoded, skeletonized and probed once; a label no reference
+// resembles rejects there, in O(label length). The few hits are then
+// filtered per backend — Algorithm 1's pairwise check for postings,
+// identity only for skeleton (see detectLabelIn). The seed linear scan
+// survives as DetectLabelLinear, the oracle for tests and ablations.
 package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"repro/internal/domain"
 	"repro/internal/homoglyph"
@@ -48,7 +50,7 @@ type Match struct {
 	FQDN      string // full domain the label was matched in (equals IDN for bare-label input)
 	TLD       string // public suffix of FQDN ("com", "co.uk", "xn--p1ai"); "" for bare labels
 	Backend   Backend
-	Diffs     []CharDiff // per-character substitutions (posting backend only)
+	Diffs     []CharDiff // per-character substitutions; nil unless pairwise-verified (Backend postings or both)
 }
 
 // Imitated returns the domain the match imitates: the reference label
@@ -62,48 +64,31 @@ func (m Match) Imitated() string {
 	return m.Reference + "." + m.TLD
 }
 
-// refEntry is one indexed reference with its rune decomposition cached,
-// so the hot path never re-runs []rune(ref).
-type refEntry struct {
-	label string
-	runes []rune
-}
-
-// bucket groups the references of one rune length together with their
-// candidate index: index[p][r] lists (ascending) the ids of references
-// whose rune at position p is r or a homoglyph of r.
-type bucket struct {
-	refs  []refEntry
-	index []map[rune][]int32
-}
-
 // scratch holds the per-call working memory DetectLabel and
 // DetectDomain reuse across labels, keeping the steady-state path
 // allocation-free except for the matches themselves.
 type scratch struct {
 	runes []rune
-	lists [][]int32
-	cand  []int32
-	next  []int32
 	skel  []byte
 }
 
-// Detector holds the reference list bucketed by length, the candidate
-// index, and the homoglyph database, ready to scan IDNs. A Detector is
-// immutable after construction and safe for concurrent use.
+// Detector holds the deduplicated references, their rune
+// decompositions, the skeleton index over them, and the homoglyph
+// database, ready to scan IDNs. A Detector is immutable after
+// construction and safe for concurrent use.
 type Detector struct {
-	db      *homoglyph.DB
-	byLen   map[int]*bucket
-	refs    []string
-	skel    *skelIndex
-	scratch sync.Pool
+	db       *homoglyph.DB
+	refs     []string
+	refRunes [][]rune // refRunes[i] decomposes refs[i]; all share one arena
+	skel     *skelIndex
+	scratch  sync.Pool
 }
 
 // NewDetector builds a detector over reference labels (TLD part removed,
 // ASCII form). Duplicate references are collapsed. Construction compiles
-// the candidate index; reuse the detector across scans.
+// the skeleton index; reuse the detector across scans.
 func NewDetector(db *homoglyph.DB, references []string) *Detector {
-	d := &Detector{db: db, byLen: make(map[int]*bucket)}
+	d := &Detector{db: db}
 	d.scratch.New = func() any { return &scratch{} }
 	seen := make(map[string]bool, len(references))
 	for _, ref := range references {
@@ -125,52 +110,30 @@ func NewDetector(db *homoglyph.DB, references []string) *Detector {
 		}
 		seen[ref] = true
 		d.refs = append(d.refs, ref)
-		runes := []rune(ref)
-		b := d.byLen[len(runes)]
-		if b == nil {
-			b = &bucket{}
-			d.byLen[len(runes)] = b
-		}
-		b.refs = append(b.refs, refEntry{label: ref, runes: runes})
 	}
-	// Reference labels draw from a few dozen distinct runes, so memoize
-	// the partner lookups across buckets instead of re-filtering the
-	// homoglyph span per (reference, position) occurrence.
-	memo := make(map[rune][]rune)
-	homoglyphs := func(c rune) []rune {
-		hs, ok := memo[c]
-		if !ok {
-			hs = db.Homoglyphs(c)
-			memo[c] = hs
-		}
-		return hs
-	}
-	for _, b := range d.byLen {
-		b.buildIndex(homoglyphs)
-	}
-	d.skel = buildSkelIndex(db, d.refs)
+	d.refRunes = runeArena(d.refs)
+	d.skel = buildSkelIndex(db, d.refRunes)
 	return d
 }
 
-// buildIndex compiles the per-position posting lists. Reference ids are
-// appended in ascending order, so every posting list is sorted.
-func (b *bucket) buildIndex(homoglyphs func(rune) []rune) {
-	if len(b.refs) == 0 {
-		return
+// runeArena decomposes every reference into one shared rune arena, so
+// the hot path never re-runs []rune(ref) and a 10k-reference detector
+// holds all its decompositions in a single allocation.
+func runeArena(refs []string) [][]rune {
+	n := 0
+	for _, ref := range refs {
+		n += utf8.RuneCountInString(ref)
 	}
-	n := len(b.refs[0].runes)
-	b.index = make([]map[rune][]int32, n)
-	for p := range b.index {
-		b.index[p] = make(map[rune][]int32)
-	}
-	for id, ref := range b.refs {
-		for p, c := range ref.runes {
-			b.index[p][c] = append(b.index[p][c], int32(id))
-			for _, h := range homoglyphs(c) {
-				b.index[p][h] = append(b.index[p][h], int32(id))
-			}
+	arena := make([]rune, 0, n)
+	out := make([][]rune, len(refs))
+	for i, ref := range refs {
+		start := len(arena)
+		for _, r := range ref {
+			arena = append(arena, r)
 		}
+		out[i] = arena[start:len(arena):len(arena)]
 	}
+	return out
 }
 
 // NumReferences returns the deduplicated reference count without
@@ -208,7 +171,7 @@ func (d *Detector) matchAgainst(ref []rune, idn []rune) ([]CharDiff, bool) {
 }
 
 // DetectLabel checks one IDN label (ASCII xn-- form, TLD removed) against
-// the same-length references via the candidate index and returns all
+// the same-length references via the skeleton index and returns all
 // matches, in reference insertion order. Safe for concurrent use.
 func (d *Detector) DetectLabel(idnLabel string) []Match {
 	return detectLabel(d, idnLabel, BackendPostings)
@@ -408,167 +371,96 @@ func candidateLabelFor[S punycode.ByteSeq](label S, be Backend) bool {
 }
 
 // detectLabelIn is the shared per-label hot path, compiled for both
-// label spellings, running on borrowed scratch: decode once, then run
-// each selected backend over the decoded runes. In both-mode the
-// skeleton pass merges into the posting results, OR-ing the Backend mask
-// of references both indexes found.
+// label spellings, running on borrowed scratch. Every backend starts
+// with the same probe: decode once, skeletonize, look the skeleton up.
+// The miss path — the zone-scale common case — ends there, allocating
+// nothing: the map index uses the string(sc.skel) conversion the
+// compiler performs without copying.
+//
+// The hits are the references sharing the label's skeleton, ascending by
+// id. Each backend filters them:
+//   - postings keeps the hits of equal rune length that pass Algorithm 1's
+//     pairwise check (matchAgainst), with their character diffs. The
+//     skeleton map is built from the same pairwise graph, so every pair
+//     matchAgainst accepts shares a skeleton: this is exactly the
+//     paper's same-length scan, answered without visiting the misses.
+//   - skeleton keeps every hit that is not the reference itself.
+//   - both returns the verified hits first, tagged both and carrying
+//     diffs, then the unverified ones, tagged skeleton.
 func detectLabelIn[S punycode.ByteSeq](d *Detector, sc *scratch, idnLabel S, be Backend) []Match {
 	runes, err := punycode.ToUnicodeLabelAppend(sc.runes[:0], idnLabel)
 	sc.runes = runes
-	if err != nil {
+	if err != nil || len(runes) == 0 {
 		return nil
 	}
-	var out []Match
-	if be&BackendPostings != 0 {
-		out = detectPostingsIn(d, sc, runes, idnLabel)
-	}
-	if be&BackendSkeleton != 0 {
-		out = detectSkeletonIn(d, sc, runes, idnLabel, out)
-	}
-	return out
-}
-
-// detectPostingsIn is the posting-list backend over an already-decoded
-// label: gather per-position lists, intersect rarest-first, verify
-// survivors character-by-character.
-func detectPostingsIn[S punycode.ByteSeq](d *Detector, sc *scratch, runes []rune, idnLabel S) []Match {
-	b := d.byLen[len(runes)]
-	if b == nil {
+	sc.skel = d.skel.appendLabel(sc.skel[:0], runes)
+	ids := d.skel.refs[string(sc.skel)]
+	if len(ids) == 0 {
 		return nil
 	}
 
-	// Gather each position's posting list, rejecting immediately when a
-	// position has none; seed the intersection with the rarest list.
-	lists := sc.lists[:0]
-	minPos := 0
-	for p, r := range runes {
-		l := b.index[p][r]
-		if len(l) == 0 {
-			sc.lists = lists
-			return nil
+	// Hits exist, so matches are likely: the IDN and Unicode strings are
+	// materialized once, on the first match — the miss path never builds
+	// them.
+	var idn, uni string
+	var verified, unverified []Match
+	for _, id := range ids {
+		ref := d.refRunes[id]
+		var diffs []CharDiff
+		ok := false
+		if be&BackendPostings != 0 && len(ref) == len(runes) {
+			diffs, ok = d.matchAgainst(ref, runes)
 		}
-		lists = append(lists, l)
-		if len(l) < len(lists[minPos]) {
-			minPos = p
-		}
-	}
-	sc.lists = lists
-
-	// cur starts as a read-only view of the rarest posting list; each
-	// intersection writes into the scratch buffer the next round does
-	// not read from, so nothing is ever copied.
-	cur := lists[minPos]
-	bufA, bufB := sc.cand, sc.next
-	for p, l := range lists {
-		if p == minPos {
+		// An unverified hit survives only under the skeleton backend, and
+		// never when it is the reference itself — the skeleton-side twin
+		// of matchAgainst's zero-diff rejection.
+		if !ok && (be&BackendSkeleton == 0 || slices.Equal(ref, runes)) {
 			continue
 		}
-		bufA = intersect(cur, l, bufA[:0])
-		cur = bufA
-		bufA, bufB = bufB, bufA
-		if len(cur) == 0 {
-			break
+		if idn == "" {
+			idn, uni = string(idnLabel), string(runes)
 		}
-	}
-	sc.cand, sc.next = bufA, bufB // keep the grown buffers for reuse
-	if len(cur) == 0 {
-		return nil
-	}
-
-	// Survivors exist, so matches are likely: materialize the IDN and
-	// Unicode strings once, here — the miss path above never builds them.
-	var idn, uni string
-	var out []Match
-	for _, id := range cur {
-		ref := &b.refs[id]
-		if diffs, ok := d.matchAgainst(ref.runes, runes); ok {
-			if out == nil {
-				idn, uni = string(idnLabel), string(runes)
-			}
-			out = append(out, Match{
-				IDN:       idn,
-				Unicode:   uni,
-				Reference: ref.label,
-				FQDN:      idn, // bare-label context; detectDomain overwrites
-				Backend:   BackendPostings,
-				Diffs:     diffs,
-			})
+		m := Match{
+			IDN:       idn,
+			Unicode:   uni,
+			Reference: d.refs[id],
+			FQDN:      idn, // bare-label context; detectDomain overwrites
+			Backend:   BackendSkeleton,
+			Diffs:     diffs,
 		}
-	}
-	return out
-}
-
-// intersect writes the sorted intersection of a and b into dst. When one
-// list is far shorter it binary-searches the long one instead of merging,
-// so the cost is O(short·log(long)) — an ASCII position shared by most
-// references never forces a walk over its whole posting list.
-func intersect(a, b []int32, dst []int32) []int32 {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if len(b) > 16*len(a) {
-		lo := 0
-		for _, x := range a {
-			lo += search(b[lo:], x)
-			if lo < len(b) && b[lo] == x {
-				dst = append(dst, x)
-				lo++
-			}
-		}
-		return dst
-	}
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-	}
-	return dst
-}
-
-// search returns the first index in the sorted slice s holding a value
-// ≥ x, or len(s).
-func search(s []int32, x int32) int {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] < x {
-			lo = mid + 1
+		if ok {
+			m.Backend = be
+			verified = append(verified, m)
 		} else {
-			hi = mid
+			unverified = append(unverified, m)
 		}
 	}
-	return lo
+	if len(verified) == 0 {
+		return unverified
+	}
+	return append(verified, unverified...)
 }
 
 // DetectLabelLinear is the seed engine: a linear scan over every
-// same-length reference. It is retained as the correctness baseline the
-// indexed path is property-tested against, and as the "before" side of
-// the throughput ablation.
+// same-length reference. It is retained as the correctness oracle the
+// skeleton-probed path is property-tested against, and as the "before"
+// side of the throughput ablation.
 func (d *Detector) DetectLabelLinear(idnLabel string) []Match {
 	uni, err := punycode.ToUnicodeLabel(idnLabel)
 	if err != nil {
 		return nil
 	}
 	runes := []rune(uni)
-	b := d.byLen[len(runes)]
-	if b == nil {
-		return nil
-	}
 	var out []Match
-	for i := range b.refs {
-		if diffs, ok := d.matchAgainst(b.refs[i].runes, runes); ok {
+	for i, ref := range d.refRunes {
+		if len(ref) != len(runes) {
+			continue
+		}
+		if diffs, ok := d.matchAgainst(ref, runes); ok {
 			out = append(out, Match{
 				IDN:       idnLabel,
 				Unicode:   uni,
-				Reference: b.refs[i].label,
+				Reference: d.refs[i],
 				FQDN:      idnLabel,
 				Backend:   BackendPostings,
 				Diffs:     diffs,

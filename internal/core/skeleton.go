@@ -5,22 +5,21 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/homoglyph"
-	"repro/internal/punycode"
 )
 
-// skelIndex is the TR39 skeleton backend: every rune maps to a canonical
+// skelIndex is the detector's one index: every rune maps to a canonical
 // prototype (a single representative rune, or a multi-rune sequence for
 // many-to-one confusables), and every reference's whole-label skeleton is
 // precomputed into a hash map — so a candidate label resolves to its
 // imitated references in one map probe, regardless of length.
 //
-// The per-rune mapping is derived from the SAME pairwise graph the
-// posting lists index, via union-find: every connected component of the
+// The per-rune mapping is derived from the SAME pairwise graph Algorithm
+// 1 verifies against, via union-find: every connected component of the
 // Confusable relation collapses to one representative (its smallest
-// rune). That construction makes the differential-parity property hold
-// by design — Confusable(a,b) ⇒ same component ⇒ same skeleton rune — so
-// any single-rune substitution the posting backend can see, the skeleton
-// backend sees too. On top of that, components whose representative
+// rune). That construction is what lets one probe answer every backend —
+// Confusable(a,b) ⇒ same component ⇒ same skeleton rune — so every
+// reference the pairwise check would accept is among the label's skeleton
+// hits. On top of that, components whose representative
 // carries a multi-rune UC prototype ('m' → "rn") expand to the mapped
 // sequence, which is what catches the length-changing homographs
 // ("rnicrosoft") the pairwise model cannot represent.
@@ -30,9 +29,9 @@ type skelIndex struct {
 	refs map[string][]int32 // skeleton(ref) → ascending ids into Detector.refs
 }
 
-// buildSkelIndex compiles the skeleton backend for the detector's
-// homoglyph view and global reference list.
-func buildSkelIndex(db *homoglyph.DB, refs []string) *skelIndex {
+// buildSkelIndex compiles the skeleton index for the detector's
+// homoglyph view over its references' rune decompositions.
+func buildSkelIndex(db *homoglyph.DB, refRunes [][]rune) *skelIndex {
 	chars := db.Chars().Runes()
 
 	// Union-find over the pairwise graph, path-halving on find.
@@ -112,8 +111,8 @@ func buildSkelIndex(db *homoglyph.DB, refs []string) *skelIndex {
 		}
 	}
 
-	for i, ref := range refs {
-		key := string(x.appendLabel(nil, []rune(ref)))
+	for i, ref := range refRunes {
+		key := string(x.appendLabel(nil, ref))
 		x.refs[key] = append(x.refs[key], int32(i))
 	}
 	return x
@@ -144,71 +143,6 @@ func (x *skelIndex) appendLabel(dst []byte, runes []rune) []byte {
 		dst = utf8.AppendRune(dst, r)
 	}
 	return dst
-}
-
-// runesEqualString reports rs == s without materializing either side.
-func runesEqualString(rs []rune, s string) bool {
-	i := 0
-	for _, r := range s {
-		if i >= len(rs) || rs[i] != r {
-			return false
-		}
-		i++
-	}
-	return i == len(rs)
-}
-
-// detectSkeletonIn runs the skeleton backend over an already-decoded
-// label and merges its findings into out (which may hold posting-backend
-// matches for the same label): a reference both backends found gets its
-// Backend mask OR-ed, keeping the posting match's character diffs. The
-// miss path — skeletonize, one map probe, empty list — allocates
-// nothing: the map index uses the string(sc.skel) conversion the
-// compiler performs without copying.
-func detectSkeletonIn[S punycode.ByteSeq](d *Detector, sc *scratch, runes []rune, idnLabel S, out []Match) []Match {
-	if d.skel == nil || len(runes) == 0 {
-		return out
-	}
-	sc.skel = d.skel.appendLabel(sc.skel[:0], runes)
-	ids := d.skel.refs[string(sc.skel)]
-	if len(ids) == 0 {
-		return out
-	}
-	var idn, uni string
-	have := false
-	if len(out) > 0 { // posting matches already materialized the strings
-		idn, uni, have = out[0].IDN, out[0].Unicode, true
-	}
-	for _, id := range ids {
-		ref := d.refs[id]
-		// An identical label is the reference itself, not a homograph —
-		// the skeleton-side twin of matchAgainst's zero-diff rejection.
-		if runesEqualString(runes, ref) {
-			continue
-		}
-		merged := false
-		for i := range out {
-			if out[i].Reference == ref {
-				out[i].Backend |= BackendSkeleton
-				merged = true
-				break
-			}
-		}
-		if merged {
-			continue
-		}
-		if !have {
-			idn, uni, have = string(idnLabel), string(runes), true
-		}
-		out = append(out, Match{
-			IDN:       idn,
-			Unicode:   uni,
-			Reference: ref,
-			FQDN:      idn, // bare-label context; detectDomain overwrites
-			Backend:   BackendSkeleton,
-		})
-	}
-	return out
 }
 
 // sortedRuneKeys returns a skeleton map's keys in their canonical

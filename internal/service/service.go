@@ -64,7 +64,7 @@ type Config struct {
 	MaxBatch int
 	// Backend selects the default detection backend for requests that
 	// do not name one ("backend" in /v1/detect bodies, ?backend= on
-	// /v1/explain). The zero value means the posting-list backend.
+	// /v1/explain). The zero value means the postings backend.
 	Backend core.Backend
 	// Survey wires the async triage job API (POST /v1/survey). The
 	// zero value works; see SurveyConfig.

@@ -122,12 +122,17 @@ func (s *Server) dropEvicted(evicted []*surveyJob) {
 
 // persistSurvey writes the job's manifest when a store is wired.
 func (s *Server) persistSurvey(job *surveyJob) error {
-	if s.store() == nil || !job.durable {
-		return nil
-	}
 	job.mu.Lock()
 	m := job.manifestLocked()
 	job.mu.Unlock()
+	return s.putManifest(job, m)
+}
+
+// putManifest writes m as the job's manifest when a store is wired.
+func (s *Server) putManifest(job *surveyJob, m jobstore.Manifest) error {
+	if s.store() == nil || !job.durable {
+		return nil
+	}
 	if err := s.store().Put(m); err != nil {
 		return fmt.Errorf("survey %s: persisting manifest: %w", job.id, err)
 	}
@@ -234,7 +239,6 @@ func (s *Server) releaseSurveySlot() {
 // emits it.
 func (s *Server) runSurvey(ctx context.Context, job *surveyJob) {
 	defer s.releaseSurveySlot()
-	defer s.met.surveysActive.Add(-1)
 	defer func() {
 		if job.closeDNS != nil {
 			job.closeDNS()
@@ -343,10 +347,31 @@ func (s *Server) runSurvey(ctx context.Context, job *surveyJob) {
 	}
 }
 
-// finalizeSurvey lands a job's terminal state: in-memory results, the
-// aggregate tally, the durable manifest.
+// finalizeSurvey lands a job's terminal state. The order is what
+// readers may rely on: the terminal manifest reaches disk first, then a
+// running job leaves surveys_active, then a done job's tally joins the
+// aggregate, and only then does the job turn terminal in memory — so a
+// job GET /v1/survey/{id} or /metrics reports finished is durably
+// finished and no longer counted as running.
 func (s *Server) finalizeSurvey(job *surveyJob, records []triage.Record, tally *triage.Tally,
 	state, errMsg string, retryable bool) {
+	job.mu.Lock()
+	// Only launch moves a job to running (counting it active), and only
+	// runSurvey — which finalizes it — moves it on to draining.
+	active := job.status == surveyRunning || job.status == surveyDraining
+	m := job.manifestLocked()
+	job.mu.Unlock()
+	m.State, m.Error, m.Retryable, m.Tally = state, errMsg, retryable, tally
+	if err := s.putManifest(job, m); err != nil {
+		s.logf("%v", err)
+	}
+	if active {
+		s.met.surveysActive.Add(-1)
+	}
+	if state == surveyDone && tally != nil {
+		s.mergeSurveyTally(tally)
+	}
+	s.logf("survey %s: %s (%d records)", job.id, state, len(records))
 	job.mu.Lock()
 	job.status = state
 	job.err = errMsg
@@ -355,13 +380,6 @@ func (s *Server) finalizeSurvey(job *surveyJob, records []triage.Record, tally *
 	job.tally = tally
 	job.finishedAt = s.surveys.clock()
 	job.mu.Unlock()
-	if state == surveyDone && tally != nil {
-		s.mergeSurveyTally(tally)
-	}
-	if err := s.persistSurvey(job); err != nil {
-		s.logf("%v", err)
-	}
-	s.logf("survey %s: %s (%d records)", job.id, state, len(records))
 }
 
 // mergeSurveyTally folds one finished job's tally into the server-wide

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"reflect"
 	"sync"
@@ -195,13 +196,21 @@ func reseal(data []byte) {
 	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
 }
 
+// TestRejectsWrongVersion: a file from any other format version — the
+// previous one included, whose detector section still carries posting
+// lists — fails loudly instead of being misread.
 func TestRejectsWrongVersion(t *testing.T) {
 	db := builtDB(t)
-	data := Marshal(db, nil)
-	binary.LittleEndian.PutUint32(data[len(Magic):], Version+1)
-	reseal(data)
-	if _, _, err := Unmarshal(data); !errors.Is(err, ErrVersion) {
-		t.Fatalf("err = %v, want ErrVersion", err)
+	det := core.NewDetector(db, testRefs)
+	for _, v := range []uint32{Version + 1, Version - 1} {
+		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
+			data := Marshal(db, det)
+			binary.LittleEndian.PutUint32(data[len(Magic):], v)
+			reseal(data)
+			if _, _, err := Unmarshal(data); !errors.Is(err, ErrVersion) {
+				t.Fatalf("err = %v, want ErrVersion", err)
+			}
+		})
 	}
 }
 

@@ -58,8 +58,9 @@ type Match = core.Match
 // CharDiff pinpoints one substituted character within a match.
 type CharDiff = core.CharDiff
 
-// Backend selects a detection backend: the per-(length,position)
-// posting-list index, the TR39 whole-label skeleton index, or both.
+// Backend selects a detection backend. All of them probe the one TR39
+// skeleton index: postings keeps the hits Algorithm 1's pairwise check
+// verifies, skeleton keeps them all, both tags each by which it is.
 type Backend = core.Backend
 
 // Detection backends. The posting backend pinpoints per-character
@@ -176,7 +177,7 @@ func NewFromFont(font *hexfont.Font, cfg Config) (*Framework, error) {
 }
 
 // WriteSnapshot serializes the framework's fully compiled artifacts —
-// and, when det is non-nil, that detector's posting-list index — as a
+// and, when det is non-nil, that detector's skeleton index — as a
 // versioned, checksummed binary snapshot. Loading one skips the font
 // rasterization, the Section 3.3 Δ scan, and the index compilation
 // entirely, collapsing seconds of cold start into milliseconds; see
@@ -319,7 +320,7 @@ type Detector struct {
 
 // DetectLabel checks one IDN label (ACE "xn--..." or Unicode form,
 // TLD removed) against every reference, returning all matches. The
-// check runs over the candidate index, so cost scales with the match
+// check runs over the skeleton index, so cost scales with the match
 // candidates, not the reference-list size. Safe for concurrent use.
 func (d *Detector) DetectLabel(idnLabel string) []Match {
 	return d.inner.DetectLabel(idnLabel)
@@ -411,7 +412,8 @@ func (d *Detector) Revert(idnLabel string) (string, error) {
 	return d.inner.Revert(idnLabel)
 }
 
-// References returns the reference labels, length-bucketed order.
+// References returns the deduplicated reference labels, in insertion
+// order.
 func (d *Detector) References() []string { return d.inner.References() }
 
 // ToASCII converts a Unicode domain to its IDNA ACE form.

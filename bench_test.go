@@ -157,7 +157,7 @@ func BenchmarkTable08_Detection(b *testing.B) {
 	det, labels := benchDetector(b, homoglyph.SourceUC|homoglyph.SourceSimChar)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		matches := det.Detect(labels)
+		matches := det.DetectParallel(labels, 0, BackendPostings)
 		if len(matches) == 0 {
 			b.Fatal("no detections")
 		}
@@ -166,7 +166,7 @@ func BenchmarkTable08_Detection(b *testing.B) {
 
 func BenchmarkTable09_TopTargets(b *testing.B) {
 	det, labels := benchDetector(b, homoglyph.SourceUC|homoglyph.SourceSimChar)
-	matches := det.Detect(labels)
+	matches := det.DetectParallel(labels, 0, BackendPostings)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		hist := core.TargetHistogram(matches)
@@ -241,7 +241,7 @@ func BenchmarkDetectionThroughput(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det.Detect(labels)
+		det.DetectParallel(labels, 0, BackendPostings)
 	}
 	b.StopTimer()
 	perRef := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(refs)
@@ -285,7 +285,7 @@ func BenchmarkDetection1kRefs(b *testing.B) {
 	b.Run("indexed", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			det.Detect(labels)
+			det.DetectParallel(labels, 0, BackendPostings)
 		}
 		b.ReportMetric(float64(len(labels))*float64(b.N)/b.Elapsed().Seconds(), "labels/s")
 	})
@@ -307,15 +307,19 @@ func BenchmarkDetectionStream(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		in := make(chan string, 256)
+		pool := &sync.Pool{New: func() any { b := make([]byte, 0, 64); return &b }}
+		// A few hundred buffered lines keep the feeder ahead of the workers.
+		in := make(chan *[]byte, 256)
 		go func() {
 			for _, l := range labels {
-				in <- l
+				bp := pool.Get().(*[]byte)
+				*bp = append((*bp)[:0], l...)
+				in <- bp
 			}
 			close(in)
 		}()
 		n := 0
-		for range det.DetectStream(in, 0) {
+		for range det.DetectStreamBytesBackend(in, 0, pool, BackendPostings) {
 			n++
 		}
 		if n == 0 {
@@ -336,7 +340,7 @@ func BenchmarkDetectLabelMiss(b *testing.B) {
 	b.Run("indexed", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if m := det.DetectLabel(miss); len(m) != 0 {
+			if m := det.DetectDomainBackend(miss, BackendPostings); len(m) != 0 {
 				b.Fatal("unexpected match")
 			}
 		}
@@ -401,7 +405,7 @@ func BenchmarkAblationLengthBuckets(b *testing.B) {
 	det, labels := benchDetector(b, homoglyph.SourceUC|homoglyph.SourceSimChar)
 	b.Run("bucketed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			det.Detect(labels)
+			det.DetectParallel(labels, 0, BackendPostings)
 		}
 	})
 	b.Run("exhaustive", func(b *testing.B) {
@@ -612,7 +616,7 @@ func benchZoneLines(b *testing.B, det *core.Detector, n int, suffixes []string, 
 		line += suffixes[rng.Intn(len(suffixes))]
 		buf := []byte(line)
 		if fqdn, ok := NormalizeZoneLine(append([]byte(nil), buf...)); ok {
-			if ms := det.DetectDomainBytes(fqdn); len(ms) != 0 {
+			if ms := det.DetectDomainBytesBackend(fqdn, BackendPostings); len(ms) != 0 {
 				continue // exceedingly unlikely; keep the bench a pure miss path
 			}
 		}
@@ -642,7 +646,7 @@ func BenchmarkIngestion(b *testing.B) {
 					if !ok {
 						continue
 					}
-					if ms := det.DetectDomainBytes(fqdn); len(ms) != 0 {
+					if ms := det.DetectDomainBytesBackend(fqdn, BackendPostings); len(ms) != 0 {
 						b.Fatal("unexpected match")
 					}
 				}
@@ -662,7 +666,7 @@ func BenchmarkIngestion(b *testing.B) {
 					continue
 				}
 				label := strings.TrimSuffix(strings.ToLower(domain), ".com")
-				if ms := det.DetectLabel(label); len(ms) != 0 {
+				if ms := det.DetectDomainBackend(label, BackendPostings); len(ms) != 0 {
 					b.Fatal("unexpected match")
 				}
 			}
@@ -946,7 +950,7 @@ func BenchmarkTriagePipeline(b *testing.B) {
 		b.Fatal(err)
 	}
 	det := core.NewDetector(e.DB(), e.Refs().SLDs(10000))
-	inputs := triage.InputsFromMatches(det.Detect(reg.IDNs()))
+	inputs := triage.InputsFromMatches(det.DetectParallel(reg.IDNs(), 0, BackendPostings))
 	if len(inputs) == 0 {
 		b.Fatal("no homographs detected")
 	}

@@ -368,31 +368,21 @@ func cmdDetect(args []string) error {
 	return nil
 }
 
-// streamDetect drives the zone through the parallel engine: a feeder
-// goroutine pushes labels while workers detect, so scanning overlaps
-// I/O and memory scales with the IDNs (0.67% of a zone), not the zone.
-// Labels travel as pooled byte buffers that workers recycle after each
-// scan — with the in-place normalization and the engine's lazy string
-// materialization, a line that matches nothing allocates nothing.
-// Matches are sorted before returning, making the output deterministic
-// for any worker count. Shared by detect (which prints them) and
-// survey (which pipes them into the triage pipeline).
-func streamDetect(det *shamfinder.Detector, in io.Reader, workers int) ([]shamfinder.Match, int, error) {
-	return streamDetectBackend(det, in, workers, shamfinder.BackendPostings)
-}
-
-// streamDetectBackend is streamDetect with an explicit backend. When
-// the backend includes the skeleton index the feeder keeps every
-// non-blank line (NormalizeZoneLineAll): pure-ASCII names like
-// "rnicrosoft.com" are exactly the class that backend catches, so the
-// posting backend's ACE/non-ASCII gate must not drop them.
+// streamDetectBackend drives the zone through the parallel engine
+// under backend be: a feeder goroutine pushes labels while workers
+// detect, so scanning overlaps I/O and memory scales with the IDNs
+// (0.67% of a zone), not the zone. Labels travel as pooled byte buffers
+// that workers recycle after each scan — with the in-place
+// normalization and the engine's lazy string materialization, a line
+// that matches nothing allocates nothing. The backend picks the
+// normalizer, so the skeleton backend sees the pure-ASCII names
+// ("rnicrosoft.com") the posting gate drops. Matches are sorted before
+// returning, making the output deterministic for any worker count.
+// Shared by detect (which prints them) and survey (which pipes them
+// into the triage pipeline).
 func streamDetectBackend(det *shamfinder.Detector, in io.Reader, workers int, be shamfinder.Backend) ([]shamfinder.Match, int, error) {
 	labels := make(chan *[]byte, 1024)
 	pool := &sync.Pool{New: func() any { b := make([]byte, 0, 80); return &b }}
-	normalize := shamfinder.NormalizeZoneLine
-	if be&shamfinder.BackendSkeleton != 0 {
-		normalize = shamfinder.NormalizeZoneLineAll
-	}
 	scanned := 0
 	var scanErr error
 	go func() {
@@ -400,7 +390,7 @@ func streamDetectBackend(det *shamfinder.Detector, in io.Reader, workers int, be
 		sc := bufio.NewScanner(in)
 		sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
 		for sc.Scan() {
-			label, ok := normalize(sc.Bytes())
+			label, ok := be.NormalizeZoneLine(sc.Bytes())
 			if !ok {
 				continue
 			}
@@ -753,7 +743,7 @@ func cmdExplain(args []string) error {
 	if err != nil {
 		return err
 	}
-	matches := det.DetectDomain(strings.ToLower(fs.Arg(0)))
+	matches := det.DetectDomainBackend(strings.ToLower(fs.Arg(0)), shamfinder.BackendPostings)
 	if len(matches) == 0 {
 		fmt.Printf("%s: no homograph of any reference domain\n", fs.Arg(0))
 		return nil

@@ -90,7 +90,7 @@ func (p *proxy) inspect(host string) []shamfinder.Match {
 	// One atomic engine load per request: a brand-list swap (e.g.
 	// p.engine.Rebuild(updatedBrands) from an admin endpoint) lands
 	// between requests, never mid-inspection.
-	matches, _ := p.engine.DetectDomain(strings.ToLower(name))
+	matches, _ := p.engine.DetectDomainBackend(strings.ToLower(name), shamfinder.BackendPostings)
 	return matches
 }
 

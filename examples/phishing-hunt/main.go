@@ -68,7 +68,7 @@ func main() {
 	// is domain-aware: full FQDNs go in, matches carry the FQDN back.
 	det := fw.NewDetector(refs.SLDs(10000))
 	start := time.Now()
-	matches := det.Detect(idns)
+	matches := det.DetectParallel(idns, 0, shamfinder.BackendPostings)
 	inputs := triage.InputsFromMatches(matches)
 	log.Printf("detected %d homographs in %v", len(inputs), time.Since(start).Round(time.Millisecond))
 

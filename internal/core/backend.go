@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/domain"
+)
 
 // Backend selects which matches a query reports. Every backend starts
 // from the same probe of the TR39 skeleton index; they differ in which
@@ -33,6 +37,19 @@ func (b Backend) String() string {
 	default:
 		return "none"
 	}
+}
+
+// NormalizeZoneLine prepares one zone line or incoming name for
+// detection under b, in place: domain.NormalizeZoneLineAll when b
+// includes the skeleton index, whose pure-ASCII many-to-one targets
+// ("rnicrosoft.com") the posting candidate gate would drop, and the
+// gated domain.NormalizeZoneLine otherwise. Feeders call this rather
+// than pairing a normalizer with a backend by hand.
+func (b Backend) NormalizeZoneLine(line []byte) ([]byte, bool) {
+	if b&BackendSkeleton != 0 {
+		return domain.NormalizeZoneLineAll(line)
+	}
+	return domain.NormalizeZoneLine(line)
 }
 
 // ParseBackend parses the CLI/wire spelling. The empty string selects

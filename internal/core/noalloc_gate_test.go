@@ -7,9 +7,10 @@ import (
 )
 
 // TestNoallocGate pins the detector's //shamlint:noalloc contract
-// dynamically: with a warm scratch pool, label- and domain-level byte
-// detection must allocate nothing on the miss path — the shape of
-// nearly every line a zone feeder pushes through.
+// dynamically: with a warm scratch pool, byte-level detection of a bare
+// label or a whole domain must allocate nothing on the miss path, under
+// every backend — the shape of nearly every line a zone feeder pushes
+// through.
 func TestNoallocGate(t *testing.T) {
 	det := NewDetector(testDB(t), []string{"google", "amazon"})
 	label := []byte("xn--bcher-kva")
@@ -17,34 +18,29 @@ func TestNoallocGate(t *testing.T) {
 	// A pure-ASCII miss: only the skeleton backend even considers it,
 	// and its whole-label probe must stay allocation-free too.
 	asciiFqdn := []byte("plain-ascii-miss.example.com")
+	// Each backend's miss path, on a bare ACE label, a multi-label FQDN
+	// and a pure-ASCII FQDN, through the one byte-level entry point.
+	misses := []struct {
+		in []byte
+		be Backend
+	}{
+		{label, BackendPostings},
+		{label, BackendBoth},
+		{fqdn, BackendPostings},
+		{fqdn, BackendSkeleton},
+		{asciiFqdn, BackendBoth},
+	}
 	// Warm the scratch pool outside the measured region.
-	det.DetectLabelBytes(label)
-	det.DetectDomainBytes(fqdn)
-	det.DetectLabelBytesBackend(label, BackendBoth)
-	det.DetectDomainBytesBackend(asciiFqdn, BackendBoth)
+	for _, m := range misses {
+		det.DetectDomainBytesBackend(m.in, m.be)
+	}
 
 	lint.CheckNoallocCoverage(t, ".", map[string]func(){
-		"(*Detector).DetectLabelBytes": func() {
-			if ms := det.DetectLabelBytes(label); len(ms) != 0 {
-				panic("unexpected match")
-			}
-		},
-		"(*Detector).DetectDomainBytes": func() {
-			if ms := det.DetectDomainBytes(fqdn); len(ms) != 0 {
-				panic("unexpected match")
-			}
-		},
-		"(*Detector).DetectLabelBytesBackend": func() {
-			if ms := det.DetectLabelBytesBackend(label, BackendBoth); len(ms) != 0 {
-				panic("unexpected match")
-			}
-		},
 		"(*Detector).DetectDomainBytesBackend": func() {
-			if ms := det.DetectDomainBytesBackend(fqdn, BackendSkeleton); len(ms) != 0 {
-				panic("unexpected match")
-			}
-			if ms := det.DetectDomainBytesBackend(asciiFqdn, BackendBoth); len(ms) != 0 {
-				panic("unexpected match")
+			for _, m := range misses {
+				if ms := det.DetectDomainBytesBackend(m.in, m.be); len(ms) != 0 {
+					panic("unexpected match")
+				}
 			}
 		},
 	})

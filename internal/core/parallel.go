@@ -24,17 +24,12 @@ func compareMatch(a, b Match) int {
 	return strings.Compare(a.Reference, b.Reference)
 }
 
-// Detect scans a set of domains (full FQDNs on any TLD, or bare IDN
-// labels) across GOMAXPROCS workers and returns every (domain,
-// reference) match, sorted by FQDN then reference.
-func (d *Detector) Detect(domains []string) []Match {
-	return d.DetectParallel(domains, 0)
-}
-
-// DetectParallel is Detect with an explicit worker count (≤ 0 means
-// GOMAXPROCS). The result is deterministic: workers accumulate private
+// DetectParallel scans a set of domains (full FQDNs on any TLD, or bare
+// IDN labels) under backend be across workers (≤ 0 means GOMAXPROCS)
+// and returns every (domain, reference) match, sorted by FQDN then
+// reference. The result is deterministic: workers accumulate private
 // match slices which are concatenated and sorted exactly once.
-func (d *Detector) DetectParallel(domains []string, workers int) []Match {
+func (d *Detector) DetectParallel(domains []string, workers int, be Backend) []Match {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -44,7 +39,7 @@ func (d *Detector) DetectParallel(domains []string, workers int) []Match {
 	var out []Match
 	if workers <= 1 {
 		for _, idn := range domains {
-			out = append(out, d.DetectDomain(idn)...)
+			out = append(out, d.DetectDomainBackend(idn, be)...)
 		}
 	} else {
 		parts := make([][]Match, workers)
@@ -55,7 +50,7 @@ func (d *Detector) DetectParallel(domains []string, workers int) []Match {
 				defer wg.Done()
 				var local []Match
 				for i := w; i < len(domains); i += workers {
-					local = append(local, d.DetectDomain(domains[i])...)
+					local = append(local, d.DetectDomainBackend(domains[i], be)...)
 				}
 				parts[w] = local
 			}(w)
@@ -74,49 +69,17 @@ func (d *Detector) DetectParallel(domains []string, workers int) []Match {
 	return out
 }
 
-// DetectStream scans domains arriving on in across workers (≤ 0 means
-// GOMAXPROCS) and sends every match on the returned channel, which is
-// closed once in is drained. Workers reuse the detector's per-call
-// buffers, so steady-state allocation is O(matches); match order across
-// domains is not deterministic — stream consumers that need the batch
-// ordering should sort with SortMatches.
-func (d *Detector) DetectStream(in <-chan string, workers int) <-chan Match {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out := make(chan Match, 4*workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idn := range in {
-				for _, m := range d.DetectDomain(idn) {
-					out <- m
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-	return out
-}
-
-// DetectStreamBytes is DetectStream for pooled line buffers: normalized
-// zone lines (full FQDNs, any TLD) arrive as *[]byte, and each buffer is
+// DetectStreamBytesBackend scans normalized zone lines (full FQDNs, any
+// TLD) arriving on in as pooled *[]byte buffers under backend be,
+// across workers (≤ 0 means GOMAXPROCS), and sends every match on the
+// returned channel, which is closed once in is drained. Each buffer is
 // handed back to recycle (when non-nil) as soon as its domain has been
-// scanned. Together with DetectDomainBytes' lazy string materialization
-// this makes the whole line→match pipeline allocation-free in steady
-// state on the miss path — the common case at zone scale, where ~99% of
-// domains match nothing.
-func (d *Detector) DetectStreamBytes(in <-chan *[]byte, workers int, recycle *sync.Pool) <-chan Match {
-	return d.DetectStreamBytesBackend(in, workers, recycle, BackendPostings)
-}
-
-// DetectStreamBytesBackend is DetectStreamBytes with an explicit backend
-// choice — the CLI's `detect -backend` stream path.
+// scanned. Together with DetectDomainBytesBackend's lazy string
+// materialization this makes the whole line→match pipeline
+// allocation-free in steady state on the miss path — the common case at
+// zone scale, where ~99% of domains match nothing. Match order across
+// domains is not deterministic; consumers that need the batch ordering
+// sort with SortMatches.
 func (d *Detector) DetectStreamBytesBackend(in <-chan *[]byte, workers int, recycle *sync.Pool, be Backend) <-chan Match {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -144,8 +107,9 @@ func (d *Detector) DetectStreamBytesBackend(in <-chan *[]byte, workers int, recy
 	return out
 }
 
-// SortMatches sorts matches into the deterministic batch order (IDN,
-// then reference), e.g. after collecting a DetectStream.
+// SortMatches sorts matches into the deterministic batch order (FQDN,
+// then label, then reference), e.g. after draining
+// DetectStreamBytesBackend.
 func SortMatches(matches []Match) {
 	slices.SortFunc(matches, compareMatch)
 }
@@ -189,7 +153,7 @@ func TargetHistogram(matches []Match) map[string]int {
 // CJK 工 vs Katakana エ); otherwise every character is canonicalized
 // independently.
 func (d *Detector) Revert(idnLabel string) (string, error) {
-	if matches := d.DetectLabel(idnLabel); len(matches) > 0 {
+	if matches := d.DetectDomainBackend(idnLabel, BackendPostings); len(matches) > 0 {
 		return matches[0].Reference, nil
 	}
 	uni, err := punycode.ToUnicodeLabel(idnLabel)

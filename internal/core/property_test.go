@@ -43,7 +43,7 @@ func TestDetectionCompletenessProperty(t *testing.T) {
 		if _, err := punycode.ToASCIILabel(label); err != nil {
 			return true // unencodable candidate; not a registrable attack
 		}
-		for _, m := range det.DetectLabel(label) {
+		for _, m := range det.DetectDomainBackend(label, BackendPostings) {
 			if m.Reference == ref && len(m.Diffs) == changed {
 				return true
 			}
@@ -61,20 +61,26 @@ func TestDetectionCompletenessProperty(t *testing.T) {
 func TestDetectionSoundnessProperty(t *testing.T) {
 	db := testDB(t)
 	det := NewDetector(db, []string{"google"})
+	// The identity case, which a random draw essentially never produces:
+	// the reference itself is not a homograph of itself, under any
+	// backend or the linear oracle.
+	for _, be := range []Backend{BackendPostings, BackendSkeleton, BackendBoth} {
+		if ms := det.DetectDomainBackend("google", be); len(ms) != 0 {
+			t.Errorf("%v: reference matched itself: %v", be, ms)
+		}
+	}
+	if ms := det.DetectLabelLinear("google"); len(ms) != 0 {
+		t.Errorf("linear: reference matched itself: %v", ms)
+	}
 	f := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
 		runes := make([]rune, 6)
 		for i := range runes {
 			runes[i] = rune('a' + rng.Intn(26))
 		}
-		label := string(runes)
-		matches := det.DetectLabel(label)
-		if label == "google" {
-			return len(matches) == 1
-		}
-		// An ASCII label is a homograph only if it IS the reference:
-		// ASCII-to-ASCII pairs are never homoglyphs.
-		return len(matches) == 0
+		// ASCII-to-ASCII pairs are never homoglyphs, and a label equal
+		// to the reference is the reference, not an attack.
+		return len(det.DetectDomainBackend(string(runes), BackendPostings)) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -120,10 +126,10 @@ func TestDetectBatchMatchesPerLabel(t *testing.T) {
 		ace(t, "amazоn"),
 		"unrelated",
 	}
-	batch := det.Detect(labels)
+	batch := det.DetectParallel(labels, 0, BackendPostings)
 	var single []Match
 	for _, l := range labels {
-		single = append(single, det.DetectLabel(l)...)
+		single = append(single, det.DetectDomainBackend(l, BackendPostings)...)
 	}
 	if len(batch) != len(single) {
 		t.Fatalf("batch %d matches, per-label %d", len(batch), len(single))
@@ -151,7 +157,7 @@ func TestDetectLabelRejectsGarbage(t *testing.T) {
 	db := testDB(t)
 	det := NewDetector(db, []string{"google"})
 	for _, label := range []string{"xn--", "xn---", "xn--\x00", strings.Repeat("x", 500)} {
-		if matches := det.DetectLabel(label); len(matches) != 0 {
+		if matches := det.DetectDomainBackend(label, BackendPostings); len(matches) != 0 {
 			t.Errorf("garbage %q matched: %v", label, matches)
 		}
 	}

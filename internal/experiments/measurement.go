@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -82,7 +83,7 @@ type DetectionResult struct {
 	UnionDomains []string
 
 	Elapsed       time.Duration // union batch run wall-clock (indexed, parallel)
-	StreamElapsed time.Duration // union run through DetectStream
+	StreamElapsed time.Duration // union run through DetectStreamBytesBackend
 	LinearElapsed time.Duration // union run through the seed linear engine
 	IDNs          int           // scanned IDN count
 	Refs          int
@@ -114,7 +115,7 @@ func Detect(e *Env) (*DetectionResult, error) {
 	run := func(src homoglyph.Source) (*core.Detector, []core.Match, time.Duration) {
 		det := core.NewDetector(e.DB().WithSources(src), refs)
 		start := time.Now()
-		matches := det.Detect(labels)
+		matches := det.DetectParallel(labels, 0, core.BackendPostings)
 		return det, matches, time.Since(start)
 	}
 	res := &DetectionResult{IDNs: len(labels), Refs: len(refs)}
@@ -130,15 +131,19 @@ func Detect(e *Env) (*DetectionResult, error) {
 	// union detector just built: the zone-scale streaming API and the
 	// seed linear scan it replaced.
 	start := time.Now()
-	in := make(chan string, 256)
+	pool := &sync.Pool{New: func() any { b := make([]byte, 0, 64); return &b }}
+	// A few hundred buffered lines keep the feeder ahead of the workers.
+	in := make(chan *[]byte, 256)
 	go func() {
 		for _, l := range labels {
-			in <- l
+			bp := pool.Get().(*[]byte)
+			*bp = append((*bp)[:0], l...)
+			in <- bp
 		}
 		close(in)
 	}()
 	streamed := 0
-	for range det.DetectStream(in, 0) {
+	for range det.DetectStreamBytesBackend(in, 0, pool, core.BackendPostings) {
 		streamed++
 	}
 	res.StreamElapsed = time.Since(start)
@@ -245,7 +250,7 @@ func Throughput(e *Env) (*report.Experiment, error) {
 	exp.Addf("total sweep", "743.6 s (141M domains, 955k IDNs)", "%.3f s (%d IDNs)",
 		res.Elapsed.Seconds(), res.IDNs)
 	exp.Addf("per reference domain", "0.07 s", "%.6f s", perRef)
-	exp.Addf("streaming sweep (DetectStream)", "n/a", "%.3f s (%.0f labels/s)",
+	exp.Addf("streaming sweep (DetectStreamBytesBackend)", "n/a", "%.3f s (%.0f labels/s)",
 		res.StreamElapsed.Seconds(), float64(res.IDNs)/res.StreamElapsed.Seconds())
 	exp.Addf("seed linear engine", "n/a", "%.3f s (%.1f× slower than indexed)",
 		res.LinearElapsed.Seconds(), res.LinearElapsed.Seconds()/res.Elapsed.Seconds())

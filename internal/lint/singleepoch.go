@@ -9,9 +9,10 @@ import (
 // SingleEpochAnalyzer enforces the PR-4 serving invariant: a request is
 // answered from exactly ONE engine epoch. A handler takes
 // Engine.Current() once and runs the whole request against that
-// detector; consulting the engine a second time (a second Current(), a
-// convenience DetectDomain* on the engine, or either inside a loop)
-// can straddle a hot swap and mix epochs within one response.
+// detector; consulting the engine a second time (a second Current() or
+// Detector(), the convenience DetectDomainBackend on the engine, or any
+// of them inside a loop) can straddle a hot swap and mix epochs within
+// one response.
 func SingleEpochAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "single-epoch",
@@ -88,7 +89,7 @@ func engineCall(pkg *Package, call *ast.CallExpr) (string, bool) {
 		return "", false
 	}
 	switch f.Name() {
-	case "Current", "DetectDomain", "DetectDomainBytes":
+	case "Current", "Detector", "DetectDomainBackend":
 		return "Engine." + f.Name(), true
 	}
 	return "", false

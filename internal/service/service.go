@@ -21,7 +21,7 @@
 // against, and each request runs entirely on one atomically-loaded
 // state: a reload mid-request never splits an answer across epochs.
 // Queries are normalized by the exact zone-line rules the CLI feeder
-// uses (internal/domain.NormalizeZoneLine), so `serve` and `detect`
+// uses (core.Backend.NormalizeZoneLine), so `serve` and `detect`
 // cannot disagree about case folding or the trailing root dot.
 //
 // Overload sheds instead of OOMing: a bounded-concurrency gate admits
@@ -45,7 +45,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/domain"
 	"repro/internal/reflist"
 	"repro/internal/snapshot"
 	"repro/internal/triage"
@@ -278,11 +277,7 @@ type errorResponse struct {
 // class that backend exists to catch.
 func scan(det *core.Detector, buf *[]byte, name string, be core.Backend) []core.Match {
 	*buf = append((*buf)[:0], name...)
-	normalize := domain.NormalizeZoneLine
-	if be&core.BackendSkeleton != 0 {
-		normalize = domain.NormalizeZoneLineAll
-	}
-	fqdn, ok := normalize(*buf)
+	fqdn, ok := be.NormalizeZoneLine(*buf)
 	if !ok {
 		return nil
 	}

@@ -88,7 +88,7 @@ func fuzzCorpus(t testing.TB, db *homoglyph.DB, n int) []string {
 }
 
 // TestRoundTripDetectionParity is the tentpole guarantee: build → save →
-// load must produce byte-for-byte identical DetectLabel results versus
+// load must produce byte-for-byte identical DetectDomainBackend results versus
 // the freshly built detector, across a fuzzed corpus, for both the
 // embedded-detector path and a detector rebuilt over the loaded DB.
 func TestRoundTripDetectionParity(t *testing.T) {
@@ -107,12 +107,12 @@ func TestRoundTripDetectionParity(t *testing.T) {
 	corpus := fuzzCorpus(t, db, 4000)
 	matches := 0
 	for _, label := range corpus {
-		want := det.DetectLabel(label)
+		want := det.DetectDomainBackend(label, core.BackendPostings)
 		matches += len(want)
-		if got := loadedDet.DetectLabel(label); !reflect.DeepEqual(got, want) {
+		if got := loadedDet.DetectDomainBackend(label, core.BackendPostings); !reflect.DeepEqual(got, want) {
 			t.Fatalf("embedded detector diverges on %q:\n got %v\nwant %v", label, got, want)
 		}
-		if got := rebuilt.DetectLabel(label); !reflect.DeepEqual(got, want) {
+		if got := rebuilt.DetectDomainBackend(label, core.BackendPostings); !reflect.DeepEqual(got, want) {
 			t.Fatalf("rebuilt detector diverges on %q:\n got %v\nwant %v", label, got, want)
 		}
 	}
@@ -312,9 +312,9 @@ func TestFileRoundTrip(t *testing.T) {
 		t.Fatal("no detector in file")
 	}
 	idn := mustACE(t, "gооgle") // two Cyrillic о
-	m := loadedDet.DetectLabel(idn)
+	m := loadedDet.DetectDomainBackend(idn, core.BackendPostings)
 	if len(m) != 1 || m[0].Reference != "google" {
-		t.Fatalf("DetectLabel(%s) = %v", idn, m)
+		t.Fatalf("DetectDomainBackend(%s) = %v", idn, m)
 	}
 }
 

@@ -55,27 +55,10 @@ func (e *Engine) Swap(det *Detector) uint64 { return e.inner.Swap(det.inner) }
 // epoch.
 func (e *Engine) Rebuild(references []string) uint64 { return e.inner.Rebuild(references) }
 
-// DetectDomain scans one FQDN against the current state, reporting
-// the epoch the answer is valid for.
-func (e *Engine) DetectDomain(fqdn string) ([]Match, uint64) {
-	return e.inner.DetectDomain(fqdn)
-}
-
-// DetectDomainBytes is DetectDomain over a reused line buffer (zero
-// allocation on the miss path).
-func (e *Engine) DetectDomainBytes(fqdn []byte) ([]Match, uint64) {
-	return e.inner.DetectDomainBytes(fqdn)
-}
-
-// DetectDomainBackend is DetectDomain with an explicit backend choice.
+// DetectDomainBackend scans one FQDN under backend be against the
+// current state, reporting the epoch the answer is valid for.
 func (e *Engine) DetectDomainBackend(fqdn string, be Backend) ([]Match, uint64) {
 	return e.inner.DetectDomainBackend(fqdn, be)
-}
-
-// DetectDomainBytesBackend is DetectDomainBytes with an explicit
-// backend choice.
-func (e *Engine) DetectDomainBytesBackend(fqdn []byte, be Backend) ([]Match, uint64) {
-	return e.inner.DetectDomainBytesBackend(fqdn, be)
 }
 
 // ServeOptions configures Serve.

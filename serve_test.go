@@ -22,13 +22,13 @@ func TestEngineFacadeSwapAndRebuild(t *testing.T) {
 		t.Fatalf("epoch = %d", e.Epoch())
 	}
 	probe := "xn--ggle-55da.com" // gооgle
-	if ms, ep := e.DetectDomain(probe); len(ms) != 1 || ep != 1 {
+	if ms, ep := e.DetectDomainBackend(probe, BackendPostings); len(ms) != 1 || ep != 1 {
 		t.Fatalf("epoch-1 probe: %d matches at %d", len(ms), ep)
 	}
 	if ep := e.Rebuild([]string{"paypal"}); ep != 2 {
 		t.Fatalf("Rebuild = %d", ep)
 	}
-	if ms, ep := e.DetectDomainBytes([]byte(probe)); len(ms) != 0 || ep != 2 {
+	if ms, ep := e.DetectDomainBackend(probe, BackendPostings); len(ms) != 0 || ep != 2 {
 		t.Fatalf("epoch-2 probe: %d matches at %d", len(ms), ep)
 	}
 	if ep := e.Swap(fw.NewDetector([]string{"google"})); ep != 3 {
@@ -41,7 +41,7 @@ func TestEngineFacadeSwapAndRebuild(t *testing.T) {
 
 // TestEngineHotReloadUnderLoad is the facade-level leg of the
 // concurrent hot-reload proof (the engine-internal hammer lives in
-// internal/core): readers stream DetectDomain while Rebuild loops,
+// internal/core): readers stream DetectDomainBackend while Rebuild loops,
 // and every answer must agree with the epoch it reports. Runs in the
 // race-enabled tier-1 suite; raceEnabled only scales the iteration
 // count down so the instrumented run stays fast.
@@ -62,7 +62,7 @@ func TestEngineHotReloadUnderLoad(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				ms, ep := e.DetectDomain(probe)
+				ms, ep := e.DetectDomainBackend(probe, BackendPostings)
 				// Odd epochs index "google", even ones "paypal".
 				if (ep%2 == 1) != (len(ms) == 1) {
 					bad.Add(1)

@@ -17,7 +17,7 @@
 //	sf, err := shamfinder.New(shamfinder.Config{})
 //	if err != nil { ... }
 //	det := sf.NewDetector([]string{"google", "facebook"})
-//	matches := det.DetectDomain("xn--ggle-55da.net") // gооgle, any TLD
+//	matches := det.DetectDomainBackend("xn--ggle-55da.net", shamfinder.BackendPostings) // gооgle, any TLD
 //	for _, m := range matches {
 //	    fmt.Println(sf.Warn(m).Text()) // "did you mean google.net?"
 //	}
@@ -231,8 +231,9 @@ func loadSnapshot(db *homoglyph.DB, det *core.Detector, err error) (*Framework, 
 // place and without allocating: ASCII whitespace is trimmed, one
 // trailing root dot is dropped, and ASCII letters are lowercased. The
 // whole FQDN is kept — any TLD, any label count — for the domain-aware
-// detectors (DetectDomainBytes / DetectStreamBytes) to split; the seed
-// pipeline's trailing-".com" strip made every other zone invisible.
+// detectors (DetectDomainBytesBackend / DetectStreamBytesBackend) to
+// split; the seed pipeline's trailing-".com" strip made every other
+// zone invisible.
 //
 // It reports false for blank lines and lines with no scannable
 // homograph candidate: a candidate is an ACE label left of the final
@@ -251,9 +252,10 @@ func NormalizeZoneLine(line []byte) ([]byte, bool) {
 }
 
 // NormalizeZoneLineAll is NormalizeZoneLine without the ACE/non-ASCII
-// candidate gate: every non-blank name is kept. Pair it with the
-// skeleton backend, whose many-to-one targets ("rnicrosoft.com") are
-// pure ASCII and would be rejected by the posting backend's gate.
+// candidate gate: every non-blank name is kept, as the skeleton
+// backend's many-to-one targets ("rnicrosoft.com") are pure ASCII and
+// would be rejected by the posting backend's gate. Backend's
+// NormalizeZoneLine method picks between the two for a given backend.
 func NormalizeZoneLineAll(line []byte) ([]byte, bool) {
 	return domain.NormalizeZoneLineAll(line)
 }
@@ -318,93 +320,50 @@ type Detector struct {
 	inner *core.Detector
 }
 
-// DetectLabel checks one IDN label (ACE "xn--..." or Unicode form,
-// TLD removed) against every reference, returning all matches. The
-// check runs over the skeleton index, so cost scales with the match
-// candidates, not the reference-list size. Safe for concurrent use.
-func (d *Detector) DetectLabel(idnLabel string) []Match {
-	return d.inner.DetectLabel(idnLabel)
-}
-
-// Detect scans a batch of domains (full FQDNs on any TLD, or bare IDN
-// labels) across GOMAXPROCS workers, returning matches sorted by
-// (FQDN, reference).
-func (d *Detector) Detect(domains []string) []Match {
-	return d.inner.Detect(domains)
-}
-
-// DetectParallel is Detect with an explicit worker count (≤ 0 means
-// GOMAXPROCS). Output is deterministic regardless of worker count.
-func (d *Detector) DetectParallel(domains []string, workers int) []Match {
-	return d.inner.DetectParallel(domains, workers)
-}
-
-// DetectStream scans domains arriving on in across workers (≤ 0 means
-// GOMAXPROCS), sending matches on the returned channel until in is
-// drained — the zone-scale entry point: per-worker buffers are reused,
-// so steady-state allocation is O(matches). Cross-domain match order is
-// not deterministic; use SortMatches for the batch ordering.
-func (d *Detector) DetectStream(in <-chan string, workers int) <-chan Match {
-	return d.inner.DetectStream(in, workers)
-}
-
-// DetectLabelBytes is DetectLabel over a reused line buffer: nothing is
-// retained from label and the miss path allocates nothing, so a feeder
-// can recycle one buffer per in-flight line.
-func (d *Detector) DetectLabelBytes(label []byte) []Match {
-	return d.inner.DetectLabelBytes(label)
-}
-
-// DetectDomain checks a dotted FQDN on any TLD — "xn--ggle-55da.net",
-// "www.xn--ggle-55da.com", "xn--80ak6aa92e.xn--p1ai", "gооgle.co.uk" —
-// scanning every candidate label (ACE or non-ASCII) against the
-// references. Matches carry the FQDN and its public suffix; see
-// Match.Imitated for the "google.net"-style rendering.
-func (d *Detector) DetectDomain(fqdn string) []Match {
-	return d.inner.DetectDomain(fqdn)
-}
-
-// DetectDomainBytes is DetectDomain over a reused line buffer (zero
-// allocation when the domain matches nothing) — the primitive a zone
-// feeder pairs with NormalizeZoneLine.
-func (d *Detector) DetectDomainBytes(fqdn []byte) []Match {
-	return d.inner.DetectDomainBytes(fqdn)
-}
-
-// DetectLabelBackend is DetectLabel with an explicit backend choice.
-func (d *Detector) DetectLabelBackend(idnLabel string, be Backend) []Match {
-	return d.inner.DetectLabelBackend(idnLabel, be)
-}
-
-// DetectDomainBackend is DetectDomain with an explicit backend choice.
-// Note the skeleton backend also scans pure-ASCII labels — feeders
-// should pair it with NormalizeZoneLineAll, not NormalizeZoneLine.
+// DetectDomainBackend checks a dotted FQDN on any TLD —
+// "xn--ggle-55da.net", "www.xn--ggle-55da.com",
+// "xn--80ak6aa92e.xn--p1ai", "gооgle.co.uk" — or a bare label (ACE or
+// Unicode form) under backend be, scanning every candidate label left
+// of the public suffix against the references. The posting backend
+// scans ACE and non-ASCII labels; a backend that includes the skeleton
+// index also scans pure-ASCII labels ("rnicrosoft"). Matches carry the
+// FQDN and its public suffix; see Match.Imitated for the
+// "google.net"-style rendering. Safe for concurrent use.
 func (d *Detector) DetectDomainBackend(fqdn string, be Backend) []Match {
 	return d.inner.DetectDomainBackend(fqdn, be)
 }
 
-// DetectDomainBytesBackend is DetectDomainBytes with an explicit
-// backend choice, zero-allocation on the miss path for every backend.
+// DetectDomainBytesBackend is DetectDomainBackend over a reused line
+// buffer: nothing is retained from fqdn, and a domain that matches
+// nothing allocates nothing under any backend. A zone feeder prepares
+// each line with be.NormalizeZoneLine, which keeps exactly the names
+// be can match.
 func (d *Detector) DetectDomainBytesBackend(fqdn []byte, be Backend) []Match {
 	return d.inner.DetectDomainBytesBackend(fqdn, be)
 }
 
-// DetectStreamBytes is DetectStream for pooled line buffers: each *[]byte
-// drained from in is handed back to recycle (when non-nil) as soon as its
-// label has been scanned, making the whole line→match pipeline
-// allocation-free in steady state on the miss path.
-func (d *Detector) DetectStreamBytes(in <-chan *[]byte, workers int, recycle *sync.Pool) <-chan Match {
-	return d.inner.DetectStreamBytes(in, workers, recycle)
+// DetectParallel scans a batch of domains (full FQDNs on any TLD, or
+// bare IDN labels) under backend be across workers (≤ 0 means
+// GOMAXPROCS), returning matches sorted by (FQDN, reference). Output is
+// deterministic regardless of worker count.
+func (d *Detector) DetectParallel(domains []string, workers int, be Backend) []Match {
+	return d.inner.DetectParallel(domains, workers, be)
 }
 
-// DetectStreamBytesBackend is DetectStreamBytes with an explicit
-// backend choice for every scanned line.
+// DetectStreamBytesBackend is the zone-scale entry point: normalized
+// lines arrive on in as pooled *[]byte buffers, workers (≤ 0 means
+// GOMAXPROCS) scan each under backend be and hand it back to recycle
+// (when non-nil), and matches are sent on the returned channel until
+// in is drained. The whole line→match pipeline is allocation-free in
+// steady state on the miss path. Cross-domain match order is not
+// deterministic; use SortMatches for the batch ordering.
 func (d *Detector) DetectStreamBytesBackend(in <-chan *[]byte, workers int, recycle *sync.Pool, be Backend) <-chan Match {
 	return d.inner.DetectStreamBytesBackend(in, workers, recycle, be)
 }
 
-// SortMatches sorts matches into the deterministic batch order (IDN,
-// then reference), e.g. after collecting a DetectStream.
+// SortMatches sorts matches into the deterministic batch order (FQDN,
+// then label, then reference), e.g. after draining
+// DetectStreamBytesBackend.
 func SortMatches(matches []Match) { core.SortMatches(matches) }
 
 // Revert maps a homograph label to its most plausible original.

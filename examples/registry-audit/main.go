@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -26,6 +27,7 @@ import (
 	"repro/internal/dnswire"
 	"repro/internal/idntable"
 	"repro/internal/punycode"
+	"repro/internal/triage"
 	"repro/internal/zonefile"
 )
 
@@ -57,18 +59,31 @@ func main() {
 		defer srv.Close()
 	}
 	client := dnsclient.New(addr)
+	defer client.Close()
 
-	results := client.ProbeBatch(domains(candidates), 16)
+	pipe, err := triage.New(triage.Config{
+		DNS:           client,
+		DNSWorkers:    16,
+		SkipWeb:       true,
+		SkipBlacklist: true,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	records, err := pipe.Run(context.Background(), inputs(candidates))
+	if err != nil {
+		log.Fatal(err)
+	}
 	registered := 0
-	for i, p := range results {
+	for i, rec := range records {
 		status := "available"
-		if p.Err != nil {
-			status = "error: " + p.Err.Error()
-		} else if p.HasNS {
+		if rec.DNSError != "" {
+			status = "error: " + rec.DNSError
+		} else if rec.HasNS {
 			status = "REGISTERED"
 			registered++
 		}
-		fmt.Printf("  %-30s %-28s %s\n", candidates[i].unicode, p.Name, status)
+		fmt.Printf("  %-30s %-28s %s\n", candidates[i].unicode, rec.FQDN, status)
 	}
 	fmt.Printf("\n%d of %d already registered — review these for defensive registration or takedown.\n",
 		registered, len(candidates))
@@ -79,10 +94,10 @@ type candidate struct {
 	ascii   string // e.g. "xn--ypal-…"
 }
 
-func domains(cs []candidate) []string {
-	out := make([]string, len(cs))
+func inputs(cs []candidate) []triage.Input {
+	out := make([]triage.Input, len(cs))
 	for i, c := range cs {
-		out[i] = c.ascii
+		out[i] = triage.Input{FQDN: c.ascii}
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package dnsclient
 
 import (
+	"context"
 	"net"
 	"runtime"
 	"testing"
@@ -79,7 +80,7 @@ func BenchmarkProbe(b *testing.B) {
 			// Warm up: dial the pool, complete TLS handshakes, populate
 			// the session cache, fault in the buffer arena.
 			for _, d := range domains {
-				if res := c.Probe(d); res.Err != nil {
+				if res := c.ProbeContext(context.Background(), d); res.Err != nil {
 					b.Fatal(res.Err)
 				}
 			}
@@ -88,7 +89,7 @@ func BenchmarkProbe(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				i := 0
 				for pb.Next() {
-					if res := c.Probe(domains[i%len(domains)]); res.Err != nil {
+					if res := c.ProbeContext(context.Background(), domains[i%len(domains)]); res.Err != nil {
 						b.Fatal(res.Err)
 					}
 					i++
@@ -112,7 +113,7 @@ func TestProbeAllocationBudget(t *testing.T) {
 	c := New(srv.Addr())
 	defer c.Close()
 	for _, d := range domains {
-		if res := c.Probe(d); res.Err != nil {
+		if res := c.ProbeContext(context.Background(), d); res.Err != nil {
 			t.Fatal(res.Err)
 		}
 	}
@@ -121,7 +122,7 @@ func TestProbeAllocationBudget(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	const rounds = 200
 	for i := 0; i < rounds; i++ {
-		if res := c.Probe(domains[1]); res.Err != nil {
+		if res := c.ProbeContext(context.Background(), domains[1]); res.Err != nil {
 			t.Fatal(res.Err)
 		}
 	}

@@ -15,9 +15,9 @@
 //   - doh: DNS wire format over HTTP/2 POST (RFC 8484) with one
 //     multiplexed http.Client per server.
 //
-// The batch prober fans a domain list across a bounded worker pool and
-// issues each domain's three questions concurrently over the shared
-// connections.
+// ProbeContext issues one domain's three questions concurrently over
+// the shared connections; callers that probe many domains (the triage
+// pipeline) bring their own bounded worker pool.
 package dnsclient
 
 import (
@@ -370,16 +370,6 @@ func checkRCode(resp *dnswire.Message) (*dnswire.Message, error) {
 	}
 }
 
-// Has reports whether name has at least one record of the given type.
-// NXDOMAIN and NODATA both report false; transport errors propagate.
-func (c *Client) Has(name string, typ dnswire.Type) (bool, error) {
-	resp, err := c.Query(name, typ)
-	if err != nil {
-		return false, err
-	}
-	return hasAnswer(resp, typ), nil
-}
-
 func hasAnswer(resp *dnswire.Message, typ dnswire.Type) bool {
 	for _, rr := range resp.Answers {
 		if rr.Data.Type() == typ {
@@ -389,7 +379,7 @@ func hasAnswer(resp *dnswire.Message, typ dnswire.Type) bool {
 	return false
 }
 
-// ProbeResult is the outcome of probing one domain in a batch.
+// ProbeResult is the outcome of probing one domain.
 type ProbeResult struct {
 	Name  string
 	HasNS bool
@@ -401,14 +391,6 @@ type ProbeResult struct {
 	// NS round trip.
 	NSHosts []string
 	Err     error
-}
-
-// Probe checks NS, A and MX presence for one domain — the single-
-// domain unit ProbeBatch fans out, exported for pipelines that manage
-// their own concurrency (internal/triage wraps it per worker, so a
-// zone-scale survey pays no per-domain pool setup).
-func (c *Client) Probe(domain string) ProbeResult {
-	return c.ProbeContext(context.Background(), domain)
 }
 
 // ProbeContext probes one domain's NS, A and MX concurrently — three
@@ -453,28 +435,4 @@ func (c *Client) ProbeContext(ctx context.Context, domain string) ProbeResult {
 	}
 	res.HasMX = hasAnswer(mxResp, dnswire.TypeMX)
 	return res
-}
-
-// ProbeBatch checks NS, A and MX presence for every domain,
-// concurrently with at most workers in flight. Results preserve input
-// order. A domain without NS records reports no A/MX, matching the
-// paper's staged analysis (2,294 with NS → 1,909 with A).
-func (c *Client) ProbeBatch(domains []string, workers int) []ProbeResult {
-	if workers <= 0 {
-		workers = 16
-	}
-	results := make([]ProbeResult, len(domains))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, d := range domains {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, d string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i] = c.Probe(d)
-		}(i, d)
-	}
-	wg.Wait()
-	return results
 }

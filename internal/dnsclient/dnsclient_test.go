@@ -1,6 +1,7 @@
 package dnsclient
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"net/netip"
@@ -208,18 +209,11 @@ func TestTruncationWithoutTCPFails(t *testing.T) {
 	}
 }
 
-func TestProbeBatchEmpty(t *testing.T) {
-	c := New("127.0.0.1:1")
-	if got := c.ProbeBatch(nil, 4); len(got) != 0 {
-		t.Errorf("ProbeBatch(nil) = %v", got)
-	}
-}
-
-func TestProbeBatchPropagatesErrors(t *testing.T) {
+func TestProbePropagatesErrors(t *testing.T) {
 	c := New("127.0.0.1:1") // nothing listening
 	c.Timeout = 50 * time.Millisecond
 	c.Retries = 0
-	results := c.ProbeBatch([]string{"a.com.", "b.com."}, 2)
+	results := probeAll(c, []string{"a.com.", "b.com."}, 2)
 	for _, r := range results {
 		if r.Err == nil {
 			t.Errorf("%s: expected transport error", r.Name)
@@ -244,7 +238,28 @@ func TestQueryIDsDiffer(t *testing.T) {
 	}
 }
 
-// --- ProbeBatch concurrency ---
+// --- concurrent probing over one client ---
+
+// probeAll fans domains across at most workers concurrent ProbeContext
+// calls on one client and returns the results in input order — the
+// shape of a pipeline's DNS stage, kept test-local so the client's
+// shared pools are exercised under real concurrency.
+func probeAll(c *Client, domains []string, workers int) []ProbeResult {
+	results := make([]ProbeResult, len(domains))
+	sem := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for i, d := range domains {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			results[i] = c.ProbeContext(context.Background(), d)
+		}()
+	}
+	wg.Wait()
+	return results
+}
 
 // startStoreServer runs the real authoritative server over a
 // programmatically built store: domains d000..dNNN where every 3rd
@@ -281,14 +296,14 @@ func startStoreServer(t testing.TB, n int) (*dnsserver.Server, []string) {
 	return srv, domains
 }
 
-func TestProbeBatchOrderAcrossWorkerCounts(t *testing.T) {
+func TestProbeOrderAcrossWorkerCounts(t *testing.T) {
 	srv, domains := startStoreServer(t, 60)
 	var baseline []ProbeResult
 	for _, workers := range []int{1, 4, 32} {
 		c := New(srv.Addr())
 		c.Timeout = 2 * time.Second
 		defer c.Close()
-		results := c.ProbeBatch(domains, workers)
+		results := probeAll(c, domains, workers)
 		if len(results) != len(domains) {
 			t.Fatalf("workers=%d: %d results for %d domains", workers, len(results), len(domains))
 		}
@@ -317,7 +332,7 @@ func TestProbeBatchOrderAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestProbeBatchTimeoutDrainsWorkers(t *testing.T) {
+func TestProbeTimeoutDrainsWorkers(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	// Black hole: reads queries, never answers. Every probe times out;
 	// the pool must still drain completely.
@@ -341,7 +356,7 @@ func TestProbeBatchTimeoutDrainsWorkers(t *testing.T) {
 	for i := range domains {
 		domains[i] = fmt.Sprintf("t%02d.com", i)
 	}
-	results := c.ProbeBatch(domains, 32)
+	results := probeAll(c, domains, 32)
 	for i, res := range results {
 		if res.Err == nil {
 			t.Fatalf("probe %d unexpectedly succeeded", i)

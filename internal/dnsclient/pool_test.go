@@ -72,7 +72,7 @@ func TestTransportsProbeIdentically(t *testing.T) {
 	var baseline []ProbeResult
 	for _, tr := range Transports() {
 		c := clientForTransport(t, tr, srv.Addr(), dotAddr, dohAddr)
-		results := c.ProbeBatch(domains, 8)
+		results := probeAll(c, domains, 8)
 		for _, res := range results {
 			if res.Err != nil {
 				t.Fatalf("%s: %s: %v", tr, res.Name, res.Err)
@@ -101,7 +101,7 @@ func TestPoolRedialAcrossServerRestart(t *testing.T) {
 			c.Timeout = 500 * time.Millisecond
 			c.Retries = 1
 
-			first := c.ProbeBatch(domains, 8)
+			first := probeAll(c, domains, 8)
 			for _, res := range first {
 				if res.Err != nil {
 					t.Fatalf("pre-restart %s: %v", res.Name, res.Err)
@@ -114,7 +114,7 @@ func TestPoolRedialAcrossServerRestart(t *testing.T) {
 			// With the server down, a probe must fail within its retry
 			// budget — the pooled connections are dead, not wedged.
 			start := time.Now()
-			if res := c.Probe(domains[0]); res.Err == nil {
+			if res := c.ProbeContext(context.Background(), domains[0]); res.Err == nil {
 				t.Fatal("probe succeeded against a closed server")
 			}
 			if elapsed := time.Since(start); elapsed > 10*time.Second {
@@ -133,7 +133,7 @@ func TestPoolRedialAcrossServerRestart(t *testing.T) {
 			if err := srv.EnableDoH(dohAddr); err != nil {
 				t.Fatal(err)
 			}
-			second := c.ProbeBatch(domains, 8)
+			second := probeAll(c, domains, 8)
 			for _, res := range second {
 				if res.Err != nil {
 					t.Fatalf("post-restart %s: %v", res.Name, res.Err)
@@ -310,7 +310,7 @@ func TestDoTSessionResumption(t *testing.T) {
 
 	// First query establishes the connection; reading its response also
 	// drains the server's post-handshake session tickets into the cache.
-	if res := c.Probe(domains[1]); res.Err != nil {
+	if res := c.ProbeContext(context.Background(), domains[1]); res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	c.mu.Lock()
@@ -329,7 +329,7 @@ func TestDoTSessionResumption(t *testing.T) {
 
 	// Kill the connection; the next probe must re-dial — and resume.
 	first.fail(io.ErrUnexpectedEOF)
-	if res := c.Probe(domains[1]); res.Err != nil {
+	if res := c.ProbeContext(context.Background(), domains[1]); res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	p.mu.Lock()

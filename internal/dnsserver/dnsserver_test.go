@@ -1,6 +1,7 @@
 package dnsserver
 
 import (
+	"context"
 	"net/netip"
 	"strings"
 	"sync"
@@ -222,24 +223,28 @@ func TestClientHas(t *testing.T) {
 		{"missing.com.", dnswire.TypeNS, false},
 	}
 	for _, tc := range cases {
-		got, err := c.Has(tc.name, tc.typ)
+		resp, err := c.Query(tc.name, tc.typ)
 		if err != nil {
-			t.Errorf("Has(%s, %s): %v", tc.name, tc.typ, err)
+			t.Errorf("Query(%s, %s): %v", tc.name, tc.typ, err)
 			continue
 		}
+		got := false
+		for _, rr := range resp.Answers {
+			got = got || rr.Data.Type() == tc.typ
+		}
 		if got != tc.want {
-			t.Errorf("Has(%s, %s) = %t, want %t", tc.name, tc.typ, got, tc.want)
+			t.Errorf("Query(%s, %s) answered %t, want %t", tc.name, tc.typ, got, tc.want)
 		}
 	}
 }
 
-func TestProbeBatch(t *testing.T) {
+func TestProbeContext(t *testing.T) {
 	srv := startServer(t, testStore(t))
 	c := dnsclient.New(srv.Addr())
 	domains := []string{"example.com.", "parked.com.", "missing.com."}
-	results := c.ProbeBatch(domains, 4)
-	if len(results) != 3 {
-		t.Fatalf("results = %v", results)
+	results := make([]dnsclient.ProbeResult, len(domains))
+	for i, d := range domains {
+		results[i] = c.ProbeContext(context.Background(), d)
 	}
 	if !results[0].HasNS || !results[0].HasA || !results[0].HasMX {
 		t.Errorf("example.com = %+v", results[0])

@@ -82,6 +82,10 @@ type DetectionResult struct {
 	SimDomains   []string
 	UnionDomains []string
 
+	// Detector is the union (UC ∪ SimChar) detector; its Revert lets the
+	// reference win over per-character canonicalization (§6.4).
+	Detector *core.Detector
+
 	Elapsed       time.Duration // union batch run wall-clock (indexed, parallel)
 	StreamElapsed time.Duration // union run through DetectStreamBytesBackend
 	LinearElapsed time.Duration // union run through the seed linear engine
@@ -119,10 +123,10 @@ func Detect(e *Env) (*DetectionResult, error) {
 		return det, matches, time.Since(start)
 	}
 	res := &DetectionResult{IDNs: len(labels), Refs: len(refs)}
-	var det *core.Detector
 	_, res.UC, _ = run(homoglyph.SourceUC)
 	_, res.Sim, _ = run(homoglyph.SourceSimChar)
-	det, res.Union, res.Elapsed = run(homoglyph.SourceUC | homoglyph.SourceSimChar)
+	res.Detector, res.Union, res.Elapsed = run(homoglyph.SourceUC | homoglyph.SourceSimChar)
+	det := res.Detector
 	res.UCDomains = withCom(core.DetectedIDNs(res.UC))
 	res.SimDomains = withCom(core.DetectedIDNs(res.Sim))
 	res.UnionDomains = withCom(core.DetectedIDNs(res.Union))

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -12,9 +13,9 @@ import (
 	"repro/internal/hostsim"
 	"repro/internal/pdns"
 	"repro/internal/portscan"
-	"repro/internal/punycode"
 	"repro/internal/registry"
 	"repro/internal/report"
+	"repro/internal/triage"
 	"repro/internal/webclassify"
 	"repro/internal/websim"
 )
@@ -28,9 +29,9 @@ type ProbeOutcome struct {
 	WithA       []string // subset with A records
 	MX          map[string]bool
 	ScanSum     portscan.Summary
-	Active      []string // at least one open port
-	Classify    []webclassify.Result
-	Tally       webclassify.Tally
+	Active      []string        // at least one open port
+	Classify    []triage.Record // triage records of the Active set, in order
+	Tally       *triage.Tally   // tally of Classify (Tables 12–13)
 	PDNS        *pdns.DB
 	LiveQueries int64
 }
@@ -41,9 +42,11 @@ var probeCache = struct {
 }{}
 
 // Probe runs the Section 6 measurement pipeline against the simulated
-// infrastructure: authoritative DNS (NS/A/MX), TCP port scans of the
-// resolvable set, HTTP/HTTPS classification of the responsive set, and
-// passive-DNS collection.
+// infrastructure: one triage pipeline resolves NS/A/MX for every
+// detected homograph and classifies the website of each resolvable
+// one; a TCP port scan of the resolvable set picks the active
+// homographs whose records feed Tables 11–13; a Zipf load through the
+// resolver exercises passive-DNS collection.
 func Probe(e *Env) (*ProbeOutcome, error) {
 	if probeCache.env == e && probeCache.out != nil {
 		return probeCache.out, nil
@@ -73,26 +76,9 @@ func Probe(e *Env) (*ProbeOutcome, error) {
 	defer srv.Close()
 	client := dnsclient.New(srv.Addr())
 	client.Timeout = 3 * time.Second
+	defer client.Close()
 
-	// Stage 1: NS / A / MX probing of every detected homograph.
-	probes := client.ProbeBatch(res.UnionDomains, 32)
-	out := &ProbeOutcome{MX: make(map[string]bool)}
-	for _, p := range probes {
-		if p.Err != nil {
-			return nil, fmt.Errorf("experiments: probing %s: %w", p.Name, p.Err)
-		}
-		if p.HasNS {
-			out.WithNS = append(out.WithNS, p.Name)
-		}
-		if p.HasA {
-			out.WithA = append(out.WithA, p.Name)
-		}
-		if p.HasMX {
-			out.MX[p.Name] = true
-		}
-	}
-
-	// Stage 2: web hosting simulation + port scan of the A-record set.
+	// Simulated web hosting behind the port mapper.
 	mapper, err := hostsim.NewMapper()
 	if err != nil {
 		return nil, err
@@ -104,48 +90,71 @@ func Probe(e *Env) (*ProbeOutcome, error) {
 	defer web.Close()
 	websim.Deploy(reg, web, mapper)
 
+	// Stages 1 and 3: NS / A / MX probing of every detected homograph
+	// and web classification of every resolvable one, parked-by-
+	// delegation first.
+	pipe, err := triage.New(triage.Config{
+		DNS: client,
+		Classifier: &webclassify.Classifier{
+			Resolve:   mapper.Resolve,
+			Timeout:   3 * time.Second,
+			UserAgent: "Mozilla/5.0 (X11; Linux x86_64) ShamFinder-Survey/1.0",
+			Reverter: func(domain string) (string, bool) {
+				original, err := res.Detector.Revert(strings.TrimSuffix(domain, ".com"))
+				if err != nil {
+					return "", false
+				}
+				return original + ".com", true
+			},
+			IsMalicious: bl.AnyContains,
+		},
+		DNSWorkers:    32,
+		WebWorkers:    32,
+		ParkingNS:     registry.ParkingProviders,
+		SkipBlacklist: true,
+	})
+	if err != nil {
+		return nil, err
+	}
+	inputs := make([]triage.Input, len(res.UnionDomains))
+	for i, d := range res.UnionDomains {
+		inputs[i] = triage.Input{FQDN: d}
+	}
+	records, err := pipe.Run(context.Background(), inputs)
+	if err != nil {
+		return nil, err
+	}
+	out := &ProbeOutcome{MX: make(map[string]bool), Tally: triage.NewTally()}
+	byFQDN := make(map[string]triage.Record, len(records))
+	for _, rec := range records {
+		if rec.DNSError != "" {
+			return nil, fmt.Errorf("experiments: probing %s: %s", rec.FQDN, rec.DNSError)
+		}
+		if rec.HasNS {
+			out.WithNS = append(out.WithNS, rec.FQDN)
+		}
+		if rec.HasA {
+			out.WithA = append(out.WithA, rec.FQDN)
+			byFQDN[rec.FQDN] = rec
+		}
+		if rec.HasMX {
+			out.MX[rec.FQDN] = true
+		}
+	}
+
+	// Stage 2: port scan of the A-record set. Only the active (port-
+	// open) homographs' classifications enter Tables 11–13.
 	scanner := &portscan.Scanner{Resolve: mapper.Resolve, Timeout: time.Second, Workers: 64}
 	scanResults := scanner.Scan(out.WithA, []int{80, 443})
 	out.ScanSum = portscan.Summarize(scanResults)
 	for _, r := range scanResults {
 		if r.AnyOpen() {
 			out.Active = append(out.Active, r.Domain)
+			rec := byFQDN[r.Domain]
+			out.Classify = append(out.Classify, rec)
+			out.Tally.Add(rec)
 		}
 	}
-
-	// Stage 3: web classification of the responsive set.
-	db := e.DB()
-	classifier := &webclassify.Classifier{
-		Resolve:   mapper.Resolve,
-		Timeout:   3 * time.Second,
-		Workers:   32,
-		UserAgent: "Mozilla/5.0 (X11; Linux x86_64) ShamFinder-Survey/1.0",
-		Reverter: func(domain string) (string, bool) {
-			label := strings.TrimSuffix(domain, ".com")
-			uni, err := punycode.ToUnicodeLabel(label)
-			if err != nil {
-				return "", false
-			}
-			return db.Revert(uni) + ".com", true
-		},
-		IsMalicious: bl.AnyContains,
-		ParkingNS:   trimDots(registry.ParkingProviders),
-		NSLookup: func(domain string) ([]string, error) {
-			resp, err := client.Query(domain, dnswire.TypeNS)
-			if err != nil {
-				return nil, err
-			}
-			var hosts []string
-			for _, rr := range resp.Answers {
-				if ns, ok := rr.Data.(dnswire.NS); ok {
-					hosts = append(hosts, ns.Host)
-				}
-			}
-			return hosts, nil
-		},
-	}
-	out.Classify = classifier.ClassifyBatch(out.Active)
-	out.Tally = webclassify.TallyResults(out.Classify)
 
 	// Stage 4: passive DNS — seed historical counts from ground truth,
 	// then drive a live Zipf load through the resolver so the
@@ -261,8 +270,8 @@ func Table11(e *Env) (*report.Experiment, error) {
 
 func classOf(out *ProbeOutcome, domain string) string {
 	for _, r := range out.Classify {
-		if r.Domain == domain {
-			return string(r.Category)
+		if r.FQDN == domain {
+			return r.Category
 		}
 	}
 	return "-"
@@ -291,7 +300,7 @@ func Table12(e *Env) (*report.Experiment, error) {
 	tbl := report.NewTable("Active homograph classes", "Category", "Number")
 	total := 0
 	for _, cat := range order {
-		n := out.Tally.ByCategory[cat]
+		n := out.Tally.ByCategory[string(cat)]
 		tbl.AddRow(string(cat), n)
 		total += n
 		exp.Addf(string(cat), paper[cat], "%d", n)
@@ -325,7 +334,7 @@ func Table13(e *Env) (*report.Experiment, error) {
 	}
 	total := 0
 	for _, r := range rows {
-		n := out.Tally.ByRedirect[r.class]
+		n := out.Tally.ByRedirect[string(r.class)]
 		tbl.AddRow(string(r.class), n)
 		total += n
 		exp.Addf(string(r.class), r.paper, "%d", n)
@@ -369,12 +378,4 @@ func Table14(e *Env) (*report.Experiment, error) {
 	exp.Addf("Symantec union", "8", "%d", byFeed["Symantec"].Union)
 	exp.Commentary = "Incorporating SimChar multiplies the number of blacklist-confirmed malicious homographs the framework surfaces, across all three feeds."
 	return exp, nil
-}
-
-func trimDots(hosts []string) []string {
-	out := make([]string, len(hosts))
-	for i, h := range hosts {
-		out[i] = strings.TrimSuffix(h, ".")
-	}
-	return out
 }

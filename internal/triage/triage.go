@@ -4,8 +4,9 @@
 // blacklist coverage, emitting one Record per domain — the paper's
 // Sections 5–6 (resolve the 3,280 detected homographs, fetch and
 // categorize the live ones per Tables 12–13, check the set against the
-// Table 14 feeds) as a single backpressured chain instead of three
-// disconnected batch helpers.
+// Table 14 feeds) as a single backpressured chain. It is the only
+// fan-out path for §6 probing: the CLI survey, the serving layer's
+// jobs and the experiments' tables all run through it.
 //
 // Shape:
 //
@@ -100,9 +101,9 @@ type Config struct {
 	// DNS is the probing client; required unless SkipDNS.
 	DNS *dnsclient.Client
 	// Classifier fetches and classifies websites; required unless
-	// SkipWeb. Its Workers field is ignored (the pipeline's stage pool
-	// governs concurrency); its Timeout still bounds each fetch, with
-	// StageTimeout as the per-domain ceiling above it.
+	// SkipWeb. The pipeline's web stage pool governs concurrency; the
+	// classifier's Timeout bounds each fetch, with StageTimeout as the
+	// per-domain ceiling above it.
 	Classifier *webclassify.Classifier
 	// Blacklists is the Table 14 feed set; nil skips the blacklist
 	// stage.

@@ -17,8 +17,9 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"sync"
 	"time"
+
+	"repro/internal/domain"
 )
 
 // Category is the classification outcome for one site.
@@ -65,8 +66,6 @@ type Classifier struct {
 	Resolve Resolver
 	// Timeout bounds each fetch. Zero means 3 seconds.
 	Timeout time.Duration
-	// Workers bounds concurrent fetches. Zero means 32.
-	Workers int
 	// UserAgent is sent on every request; survey crawlers identify
 	// themselves, which is exactly what cloaking sites key on.
 	UserAgent string
@@ -78,32 +77,13 @@ type Classifier struct {
 	// IsMalicious reports whether a redirect target is a known-bad
 	// domain (a blacklist lookup). Optional.
 	IsMalicious func(domain string) bool
-	// NSLookup returns the NS hosts of a domain; combined with
-	// ParkingNS it implements the paper's first-pass parking
-	// classification by delegation target (Vissers et al.). Optional.
-	NSLookup func(domain string) ([]string, error)
-	// ParkingNS are name-server suffixes of known parking providers.
-	ParkingNS []string
-}
-
-// parkedByNS reports whether the domain's delegation points at a known
-// parking provider.
-func (c *Classifier) parkedByNS(domain string) bool {
-	if c.NSLookup == nil || len(c.ParkingNS) == 0 {
-		return false
-	}
-	hosts, err := c.NSLookup(domain)
-	if err != nil {
-		return false
-	}
-	return ParkedOn(hosts, c.ParkingNS)
 }
 
 // ParkedOn reports whether any of nsHosts sits on (or under) one of the
-// parking-provider suffixes — the Vissers-style first-pass parking test
-// by delegation target. Exported so pipelines that already hold a
-// domain's NS answer (the triage pipeline's DNS stage captures it) can
-// classify without a second lookup.
+// parking-provider suffixes — the paper's first-pass parking
+// classification by delegation target (Vissers et al.). The triage
+// pipeline applies it to the NS answer its DNS stage already holds,
+// before any fetch, so parking detection costs no second lookup.
 func ParkedOn(nsHosts, providers []string) bool {
 	for _, h := range nsHosts {
 		h = strings.TrimSuffix(strings.ToLower(h), ".")
@@ -167,15 +147,12 @@ func (c *Classifier) fetch(scheme, domain string, port int) (status int, body, l
 	return resp.StatusCode, string(b), resp.Header.Get("Location"), nil
 }
 
-// Classify probes one domain and derives its category: first the NS
-// delegation check (parked domains sit on parking-company name
-// servers), then HTTP with HTTPS fallback.
+// Classify fetches one domain over HTTP, falling back to HTTPS, and
+// derives its category from the response alone. Parking by delegation
+// target is not checked here: that needs the domain's NS answer, which
+// the caller holds (see ParkedOn).
 func (c *Classifier) Classify(domain string) Result {
 	res := Result{Domain: domain}
-	if c.parkedByNS(domain) {
-		res.Category = CatParked
-		return res
-	}
 	status, body, location, err := c.fetch("http", domain, 80)
 	res.StatusHTTP = status
 	if err != nil {
@@ -218,17 +195,24 @@ func categorize(status int, body, location string) (Category, string) {
 	}
 }
 
-// registrable extracts the registrable domain from a Location value.
+// registrable extracts the registrable domain (label + "." + public
+// suffix) from a Location value, so "https://www.paypal.com/login"
+// yields "paypal.com" — the form a reverted homograph is compared
+// against. IP literals are returned whole.
 func registrable(location string) string {
 	u, err := url.Parse(location)
 	if err != nil || u.Host == "" {
 		return strings.Trim(location, "/")
 	}
-	host := u.Host
-	if h, _, err := net.SplitHostPort(host); err == nil {
-		host = h
+	host := strings.ToLower(u.Hostname())
+	if net.ParseIP(host) != nil {
+		return host
 	}
-	return strings.ToLower(host)
+	label, suffix := domain.Registrable(host)
+	if suffix == "" {
+		return label
+	}
+	return label + "." + suffix
 }
 
 // classifyRedirect decides the Table 13 class of a redirect.
@@ -242,49 +226,4 @@ func (c *Classifier) classifyRedirect(domain, target string) RedirectClass {
 		}
 	}
 	return RedirLegit
-}
-
-// ClassifyBatch classifies every domain concurrently, preserving
-// order.
-func (c *Classifier) ClassifyBatch(domains []string) []Result {
-	workers := c.Workers
-	if workers <= 0 {
-		workers = 32
-	}
-	results := make([]Result, len(domains))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, d := range domains {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, d string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i] = c.Classify(d)
-		}(i, d)
-	}
-	wg.Wait()
-	return results
-}
-
-// Tally aggregates results by category (Table 12) and redirect class
-// (Table 13).
-type Tally struct {
-	ByCategory map[Category]int
-	ByRedirect map[RedirectClass]int
-}
-
-// TallyResults counts categories across results.
-func TallyResults(results []Result) Tally {
-	t := Tally{
-		ByCategory: make(map[Category]int),
-		ByRedirect: make(map[RedirectClass]int),
-	}
-	for _, r := range results {
-		t.ByCategory[r.Category]++
-		if r.Category == CatRedirect && r.RedirectClass != RedirUnknown {
-			t.ByRedirect[r.RedirectClass]++
-		}
-	}
-	return t
 }

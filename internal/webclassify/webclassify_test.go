@@ -1,10 +1,10 @@
 package webclassify
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -28,7 +28,6 @@ func env(t *testing.T) (*websim.Server, *hostsim.Mapper, *Classifier) {
 	c := &Classifier{
 		Resolve: mapper.Resolve,
 		Timeout: 2 * time.Second,
-		Workers: 8,
 	}
 	return srv, mapper, c
 }
@@ -140,22 +139,29 @@ func TestCrawlerUserAgentGetsCloaked(t *testing.T) {
 	}
 }
 
-func TestClassifyBatchAndTally(t *testing.T) {
+func TestClassifyConcurrentCounts(t *testing.T) {
 	srv, m, c := env(t)
 	deploy(srv, m, "p1.com", websim.Site{Kind: "parked"}, 80)
 	deploy(srv, m, "p2.com", websim.Site{Kind: "parked"}, 80)
 	deploy(srv, m, "r1.com", websim.Site{Kind: "redirect", RedirectTarget: "x.example"}, 80)
 
-	results := c.ClassifyBatch([]string{"p1.com", "p2.com", "r1.com", "gone.com"})
+	results := classifyAll(c, []string{"p1.com", "p2.com", "r1.com", "gone.com"}, 4)
 	if len(results) != 4 || results[0].Domain != "p1.com" {
-		t.Fatalf("batch order broken: %v", results)
+		t.Fatalf("result order broken: %v", results)
 	}
-	tally := TallyResults(results)
-	if tally.ByCategory[CatParked] != 2 || tally.ByCategory[CatRedirect] != 1 || tally.ByCategory[CatError] != 1 {
-		t.Errorf("tally = %+v", tally.ByCategory)
+	byCategory := make(map[Category]int)
+	byRedirect := make(map[RedirectClass]int)
+	for _, r := range results {
+		byCategory[r.Category]++
+		if r.Category == CatRedirect {
+			byRedirect[r.RedirectClass]++
+		}
 	}
-	if tally.ByRedirect[RedirLegit] != 1 {
-		t.Errorf("redirect tally = %+v", tally.ByRedirect)
+	if byCategory[CatParked] != 2 || byCategory[CatRedirect] != 1 || byCategory[CatError] != 1 {
+		t.Errorf("categories = %+v", byCategory)
+	}
+	if byRedirect[RedirLegit] != 1 {
+		t.Errorf("redirect classes = %+v", byRedirect)
 	}
 }
 
@@ -165,6 +171,9 @@ func TestRegistrable(t *testing.T) {
 		{"https://Target.COM:8443/path", "target.com"},
 		{"//host.example/x", "host.example"},
 		{"/relative/path", "relative/path"},
+		{"https://www.Paypal.com/login", "paypal.com"},
+		{"http://shop.amazon.co.uk/", "amazon.co.uk"},
+		{"http://127.0.0.1:8080/", "127.0.0.1"},
 	}
 	for _, tc := range cases {
 		if got := registrable(tc.in); got != tc.want {
@@ -190,35 +199,53 @@ func TestSlowHostClassifiedAsError(t *testing.T) {
 }
 
 func TestNSBasedParkingSignal(t *testing.T) {
-	srv, m, c := env(t)
-	// The site content says "normal", but the delegation points at a
-	// parking provider — the NS signal must win (and spare the fetch).
-	deploy(srv, m, "nspark.com", websim.Site{Kind: "normal"}, 80)
-	c.ParkingNS = []string{"sedoparking.example"}
-	c.NSLookup = func(domain string) ([]string, error) {
-		if domain == "nspark.com" {
-			return []string{"ns1.sedoparking.example."}, nil
+	providers := []string{"sedoparking.example", "bodis.example"}
+	cases := []struct {
+		hosts []string
+		want  bool
+	}{
+		{[]string{"ns1.sedoparking.example."}, true}, // root dot tolerated
+		{[]string{"NS2.Bodis.Example"}, true},        // case-insensitive
+		{[]string{"sedoparking.example"}, true},      // the suffix itself
+		{[]string{"ns1.nspark.com", "ns2.sedoparking.example"}, true},
+		{[]string{"ns1.generic.com."}, false},
+		{[]string{"ns1.notsedoparking.example"}, false}, // label boundary
+		{[]string{"sedoparking.example.evil.com"}, false},
+		{nil, false}, // no delegation (NXDOMAIN, lookup failure)
+	}
+	for _, tc := range cases {
+		if got := ParkedOn(tc.hosts, providers); got != tc.want {
+			t.Errorf("ParkedOn(%q) = %v, want %v", tc.hosts, got, tc.want)
 		}
-		return []string{"ns1." + domain + "."}, nil
 	}
-	if got := c.Classify("nspark.com"); got.Category != CatParked {
-		t.Errorf("NS-parked domain classified as %s", got.Category)
-	}
-	// Generic NS falls through to content classification.
-	deploy(srv, m, "generic.com", websim.Site{Kind: "normal"}, 80)
-	if got := c.Classify("generic.com"); got.Category != CatNormal {
-		t.Errorf("generic-NS domain classified as %s", got.Category)
-	}
-	// NS lookup failures are non-fatal: content path still runs.
-	c.NSLookup = func(string) ([]string, error) { return nil, errors.New("SERVFAIL") }
-	if got := c.Classify("generic.com"); got.Category != CatNormal {
-		t.Errorf("NS failure broke classification: %s", got.Category)
+	if ParkedOn([]string{"ns1.sedoparking.example"}, nil) {
+		t.Error("ParkedOn with no providers reported parked")
 	}
 }
 
-// --- ClassifyBatch concurrency ---
+// --- concurrent classification over one classifier ---
 
-func TestClassifyBatchOrderAcrossWorkerCounts(t *testing.T) {
+// classifyAll fans domains across at most workers concurrent Classify
+// calls on one classifier and returns the results in input order — the
+// shape of a pipeline's web stage, kept test-local.
+func classifyAll(c *Classifier, domains []string, workers int) []Result {
+	results := make([]Result, len(domains))
+	sem := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for i, d := range domains {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			results[i] = c.Classify(d)
+		}()
+	}
+	wg.Wait()
+	return results
+}
+
+func TestClassifyOrderAcrossWorkerCounts(t *testing.T) {
 	srv, m, c := env(t)
 	kinds := []string{"normal", "forsale", "parked", "empty", "redirect"}
 	domains := make([]string, 40)
@@ -232,8 +259,7 @@ func TestClassifyBatchOrderAcrossWorkerCounts(t *testing.T) {
 	}
 	var baseline []Result
 	for _, workers := range []int{1, 4, 32} {
-		c.Workers = workers
-		results := c.ClassifyBatch(domains)
+		results := classifyAll(c, domains, workers)
 		if len(results) != len(domains) {
 			t.Fatalf("workers=%d: %d results", workers, len(results))
 		}
@@ -256,11 +282,10 @@ func TestClassifyBatchOrderAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestClassifyBatchTimeoutDrainsWorkers(t *testing.T) {
+func TestClassifyTimeoutDrainsWorkers(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	srv, m, c := env(t)
 	c.Timeout = 150 * time.Millisecond
-	c.Workers = 32
 	domains := make([]string, 24)
 	for i := range domains {
 		domains[i] = fmt.Sprintf("hang%02d.example", i)
@@ -268,7 +293,7 @@ func TestClassifyBatchTimeoutDrainsWorkers(t *testing.T) {
 		// drain on the timeout alone.
 		deploy(srv, m, domains[i], websim.Site{Kind: "slow"}, 80)
 	}
-	results := c.ClassifyBatch(domains)
+	results := classifyAll(c, domains, 32)
 	for i, res := range results {
 		if res.Category != CatError {
 			t.Fatalf("result %d = %+v, want Error from timeout", i, res)

@@ -320,10 +320,12 @@ func candidateLabelFor[S punycode.ByteSeq](label S, be Backend) bool {
 
 // detectLabelIn is the shared per-label hot path, compiled for both
 // label spellings, running on borrowed scratch. Every backend starts
-// with the same probe: decode once, skeletonize, look the skeleton up.
-// The miss path — the zone-scale common case — ends there, allocating
-// nothing: the map index uses the string(sc.skel) conversion the
-// compiler performs without copying.
+// with the same probe: skeletonize, look the skeleton up. A pure-ASCII
+// label skeletonizes straight from its bytes through the index's ASCII
+// table and is decoded only on a hit; any other label is decoded once
+// and skeletonized rune by rune. The miss path — the zone-scale common
+// case — ends at the probe, allocating nothing: the map index uses the
+// string(sc.skel) conversion the compiler performs without copying.
 //
 // The hits are the references sharing the label's skeleton, ascending by
 // id. Each backend filters them:
@@ -336,16 +338,25 @@ func candidateLabelFor[S punycode.ByteSeq](label S, be Backend) bool {
 //   - both returns the verified hits first, tagged both and carrying
 //     diffs, then the unverified ones, tagged skeleton.
 func detectLabelIn[S punycode.ByteSeq](d *Detector, sc *scratch, idnLabel S, be Backend) []Match {
-	runes, err := punycode.ToUnicodeLabelAppend(sc.runes[:0], idnLabel)
-	sc.runes = runes
-	if err != nil || len(runes) == 0 {
-		return nil
+	skel, ascii := appendASCIILabel(d.skel, sc.skel[:0], idnLabel)
+	if !ascii {
+		runes, err := punycode.ToUnicodeLabelAppend(sc.runes[:0], idnLabel)
+		sc.runes = runes
+		if err != nil || len(runes) == 0 {
+			return nil
+		}
+		skel = d.skel.appendLabel(skel[:0], runes)
 	}
-	sc.skel = d.skel.appendLabel(sc.skel[:0], runes)
-	ids := d.skel.refs[string(sc.skel)]
+	sc.skel = skel
+	ids := d.skel.refs[string(skel)]
 	if len(ids) == 0 {
 		return nil
 	}
+	if ascii {
+		// A plain label never fails to decode; it only folds.
+		sc.runes, _ = punycode.ToUnicodeLabelAppend(sc.runes[:0], idnLabel)
+	}
+	runes := sc.runes
 
 	// Hits exist, so matches are likely: the IDN and Unicode strings are
 	// materialized once, on the first match — the miss path never builds

@@ -15,11 +15,14 @@ func TestNoallocGate(t *testing.T) {
 	det := NewDetector(testDB(t), []string{"google", "amazon"})
 	label := []byte("xn--bcher-kva")
 	fqdn := []byte("www.xn--bcher-kva.co.uk")
-	// A pure-ASCII miss: only the skeleton backend even considers it,
-	// and its whole-label probe must stay allocation-free too.
+	// Pure-ASCII misses: only the skeleton backend even considers them,
+	// and their table-driven skeletons must stay allocation-free too —
+	// bare, in an FQDN, and uppercase (the table folds case).
+	asciiLabel := []byte("plainasciimiss")
 	asciiFqdn := []byte("plain-ascii-miss.example.com")
-	// Each backend's miss path, on a bare ACE label, a multi-label FQDN
-	// and a pure-ASCII FQDN, through the one byte-level entry point.
+	upperFqdn := []byte("WWW.PLAIN-ASCII-MISS.EXAMPLE.COM")
+	// Each backend's miss path, on bare labels, multi-label FQDNs and
+	// pure-ASCII names, through the one byte-level entry point.
 	misses := []struct {
 		in []byte
 		be Backend
@@ -28,7 +31,9 @@ func TestNoallocGate(t *testing.T) {
 		{label, BackendBoth},
 		{fqdn, BackendPostings},
 		{fqdn, BackendSkeleton},
+		{asciiLabel, BackendSkeleton},
 		{asciiFqdn, BackendBoth},
+		{upperFqdn, BackendBoth},
 	}
 	// Warm the scratch pool outside the measured region.
 	for _, m := range misses {

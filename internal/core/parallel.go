@@ -69,6 +69,10 @@ func (d *Detector) DetectParallel(domains []string, workers int, be Backend) []M
 	return out
 }
 
+// streamBatch is the most buffers DetectStreamBytesBackend's dispatcher
+// hands a worker at once.
+const streamBatch = 64
+
 // DetectStreamBytesBackend scans normalized zone lines (full FQDNs, any
 // TLD) arriving on in as pooled *[]byte buffers under backend be,
 // across workers (≤ 0 means GOMAXPROCS), and sends every match on the
@@ -80,23 +84,55 @@ func (d *Detector) DetectParallel(domains []string, workers int, be Backend) []M
 // zone scale, where ~99% of domains match nothing. Match order across
 // domains is not deterministic; consumers that need the batch ordering
 // sort with SortMatches.
+//
+// One dispatcher goroutine is in's only receiver: it gathers buffers
+// into batches of up to streamBatch and hands each batch to a worker,
+// so workers contend on one channel operation per batch instead of one
+// per line. A partial batch is flushed as soon as in has nothing
+// buffered, so no line waits on lines that have not arrived yet. Batch
+// slices cycle through a fixed free list and are never reallocated.
 func (d *Detector) DetectStreamBytesBackend(in <-chan *[]byte, workers int, recycle *sync.Pool, be Backend) <-chan Match {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	out := make(chan Match, 4*workers)
+	batches := make(chan []*[]byte, workers)
+	// One batch filling, one queued per worker and one in hand per
+	// worker keep every worker busy; a worker returning a batch never
+	// blocks, since free has room for all of them.
+	free := make(chan []*[]byte, 2*workers+1)
+	for i := 0; i < cap(free); i++ {
+		free <- make([]*[]byte, 0, streamBatch)
+	}
+	go func() {
+		defer close(batches)
+		batch := <-free
+		// The last buffer always flushes (in is empty then), so nothing
+		// is left over once in closes.
+		for bp := range in {
+			batch = append(batch, bp)
+			if len(batch) == streamBatch || len(in) == 0 {
+				batches <- batch
+				batch = <-free
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for bp := range in {
-				for _, m := range d.DetectDomainBytesBackend(*bp, be) {
-					out <- m
+			for batch := range batches {
+				for i, bp := range batch {
+					for _, m := range d.DetectDomainBytesBackend(*bp, be) {
+						out <- m
+					}
+					if recycle != nil {
+						recycle.Put(bp)
+					}
+					batch[i] = nil // the free list must not pin recycled buffers
 				}
-				if recycle != nil {
-					recycle.Put(bp)
-				}
+				free <- batch[:0]
 			}
 		}()
 	}

@@ -5,6 +5,7 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/homoglyph"
+	"repro/internal/punycode"
 )
 
 // skelIndex is the detector's one index: every rune maps to a canonical
@@ -23,10 +24,16 @@ import (
 // carries a multi-rune UC prototype ('m' → "rn") expand to the mapped
 // sequence, which is what catches the length-changing homographs
 // ("rnicrosoft") the pairwise model cannot represent.
+//
+// rep and seq are the source of truth (they are what a snapshot stores);
+// ascii is derived from them once per index so the zone-scale common
+// case — a plain ASCII label — skeletonizes by table lookup per byte,
+// with no decode and no map probe per rune.
 type skelIndex struct {
-	rep  map[rune]rune      // non-identity component representatives
-	seq  map[rune][]rune    // multi-rune skeletons (already rep-mapped)
-	refs map[string][]int32 // skeleton(ref) → ascending ids into Detector.refs
+	rep   map[rune]rune      // non-identity component representatives
+	seq   map[rune][]rune    // multi-rune skeletons (already rep-mapped)
+	refs  map[string][]int32 // skeleton(ref) → ascending ids into Detector.refs
+	ascii [0x80]string       // ascii[c] = UTF-8 skeleton of Fold(c), from rep/seq
 }
 
 // buildSkelIndex compiles the skeleton index for the detector's
@@ -110,6 +117,7 @@ func buildSkelIndex(db *homoglyph.DB, refRunes [][]rune) *skelIndex {
 			x.seq[r] = s
 		}
 	}
+	x.buildASCII()
 
 	for i, ref := range refRunes {
 		key := string(x.appendLabel(nil, ref))
@@ -125,24 +133,69 @@ type ucExpander interface {
 	SkeletonAppend(dst []rune, r rune) []rune
 }
 
-// appendLabel appends the UTF-8 skeleton of the label's runes to dst and
-// returns the extended slice. Runes outside the database map to
-// themselves, so an all-unknown label's skeleton is itself.
+// buildASCII derives the ASCII table from rep/seq. Entry c holds the
+// skeleton of Fold(c), so an uppercase byte skeletonizes like its
+// lowercase form — the same fold ToUnicodeLabelAppend applies before the
+// rune path sees a label.
+func (x *skelIndex) buildASCII() {
+	for c := range x.ascii {
+		x.ascii[c] = string(x.appendRune(nil, punycode.Fold(rune(c))))
+	}
+}
+
+// appendRune appends the UTF-8 skeleton of one rune through the maps.
+// Runes outside the database map to themselves.
+func (x *skelIndex) appendRune(dst []byte, r rune) []byte {
+	if s, ok := x.seq[r]; ok {
+		for _, sr := range s {
+			dst = utf8.AppendRune(dst, sr)
+		}
+		return dst
+	}
+	if m, ok := x.rep[r]; ok {
+		return utf8.AppendRune(dst, m)
+	}
+	return utf8.AppendRune(dst, r)
+}
+
+// appendLabel appends the UTF-8 skeleton of the label's (folded) runes
+// to dst and returns the extended slice, ASCII runes through the table.
+// An all-unknown label's skeleton is itself.
 func (x *skelIndex) appendLabel(dst []byte, runes []rune) []byte {
 	for _, r := range runes {
-		if s, ok := x.seq[r]; ok {
-			for _, sr := range s {
-				dst = utf8.AppendRune(dst, sr)
-			}
+		if r < 0x80 {
+			dst = append(dst, x.ascii[r]...)
 			continue
 		}
-		if m, ok := x.rep[r]; ok {
-			dst = utf8.AppendRune(dst, m)
-			continue
-		}
-		dst = utf8.AppendRune(dst, r)
+		dst = x.appendRune(dst, r)
 	}
 	return dst
+}
+
+// appendASCIILabel appends the skeleton of a raw label straight from its
+// bytes when the label is non-empty, pure ASCII and not ACE — the shape
+// of nearly every zone name — and reports whether it did. For such a
+// label the result equals appendLabel over its decoded runes, without
+// the decode. Otherwise it reports false and dst's contents past its
+// original length are unspecified.
+func appendASCIILabel[S punycode.ByteSeq](x *skelIndex, dst []byte, label S) ([]byte, bool) {
+	if len(label) == 0 || punycode.HasACEPrefix(label) {
+		return dst, false
+	}
+	for i := 0; i < len(label); i++ {
+		c := label[i]
+		if c >= 0x80 {
+			return dst, false
+		}
+		// Nearly every entry is one byte; appending it directly skips
+		// the copy a string append costs.
+		if s := x.ascii[c]; len(s) == 1 {
+			dst = append(dst, s[0])
+		} else {
+			dst = append(dst, s...)
+		}
+	}
+	return dst, true
 }
 
 // sortedRuneKeys returns a skeleton map's keys in their canonical

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/punycode"
 )
 
 // manyToOneFixtures pins the false-negative class this backend closes:
@@ -266,6 +269,131 @@ func TestSkeletonSnapshotValidation(t *testing.T) {
 	}
 }
 
+// Every canonical-layout violation must be rejected. Each case keeps
+// the counts consistent, so order is the only thing wrong: a loader
+// that accepted a duplicated key would overwrite silently, and the
+// loaded detector would re-snapshot to different bytes.
+func TestSkeletonSnapshotRejectsNonCanonical(t *testing.T) {
+	db := testDB(t)
+	d := NewDetector(db, []string{"google", "microsoft", "wikipedia", "close"})
+	cases := []struct {
+		name   string
+		mutate func(s *Snapshot)
+	}{
+		{"duplicate rep rune", func(s *Snapshot) { s.SkelRepRunes[1] = s.SkelRepRunes[0] }},
+		{"descending rep runes", func(s *Snapshot) {
+			s.SkelRepRunes[0], s.SkelRepRunes[1] = s.SkelRepRunes[1], s.SkelRepRunes[0]
+			s.SkelReps[0], s.SkelReps[1] = s.SkelReps[1], s.SkelReps[0]
+		}},
+		{"duplicate seq rune", func(s *Snapshot) { s.SkelSeqRunes[1] = s.SkelSeqRunes[0] }},
+		{"descending seq runes", func(s *Snapshot) {
+			s.SkelSeqRunes[0], s.SkelSeqRunes[1] = s.SkelSeqRunes[1], s.SkelSeqRunes[0]
+		}},
+		{"duplicate skeleton key", func(s *Snapshot) { s.SkelKeys[1] = s.SkelKeys[0] }},
+		{"descending skeleton keys", func(s *Snapshot) {
+			s.SkelKeys[0], s.SkelKeys[1] = s.SkelKeys[1], s.SkelKeys[0]
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := d.Snapshot()
+			if len(s.SkelRepRunes) < 2 || len(s.SkelSeqRunes) < 2 || len(s.SkelKeys) < 2 {
+				t.Fatalf("tables too small: %d reps, %d seqs, %d keys", len(s.SkelRepRunes), len(s.SkelSeqRunes), len(s.SkelKeys))
+			}
+			c.mutate(s)
+			if _, err := NewDetectorFromSnapshot(db, s); err == nil {
+				t.Error("non-canonical snapshot accepted")
+			}
+		})
+	}
+}
+
+// runeSkeleton is the per-rune rep/seq lookup, spelled out
+// independently of the index's own helpers.
+func runeSkeleton(x *skelIndex, r rune) string {
+	if s, ok := x.seq[r]; ok {
+		return string(s)
+	}
+	if m, ok := x.rep[r]; ok {
+		return string(m)
+	}
+	return string(r)
+}
+
+// TestSkeletonASCIITable checks all 128 entries of the ASCII table, on a
+// built and on a snapshot-loaded detector, against the per-rune rep/seq
+// lookup of the folded byte.
+func TestSkeletonASCIITable(t *testing.T) {
+	db := testDB(t)
+	built := manyToOneDetector(t)
+	loaded, err := NewDetectorFromSnapshot(db, built.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range map[string]*Detector{"built": built, "loaded": loaded} {
+		x := d.skel
+		for c := 0; c < 0x80; c++ {
+			want := runeSkeleton(x, punycode.Fold(rune(c)))
+			if got := x.ascii[c]; got != want {
+				t.Errorf("%s: ascii[%q] = %q, want %q", name, rune(c), got, want)
+			}
+		}
+		// The many-to-one fixtures rely on multi-byte entries, shared by
+		// both cases of the letter.
+		for _, c := range "mwd" {
+			lo, up := x.ascii[c], x.ascii[c-'a'+'A']
+			if len(lo) < 2 || up != lo {
+				t.Errorf("%s: ascii[%q] = %q, ascii[%q] = %q, want one multi-byte skeleton", name, c, lo, c-'a'+'A', up)
+			}
+		}
+	}
+}
+
+// TestASCIIFastPathMatchesRunePath: over random mixed-case ASCII labels,
+// the byte-table skeleton equals the skeleton of the decoded, folded
+// runes, and labels the fast path must not take (ACE, non-ASCII, empty)
+// are refused.
+func TestASCIIFastPathMatchesRunePath(t *testing.T) {
+	d := manyToOneDetector(t)
+	x := d.skel
+	const alphabet = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_"
+	rng := rand.New(rand.NewSource(15))
+	label := make([]byte, 0, 64)
+	for i := 0; i < 5000; i++ {
+		label = label[:0]
+		for n := 1 + rng.Intn(40); n > 0; n-- {
+			label = append(label, alphabet[rng.Intn(len(alphabet))])
+		}
+		if punycode.HasACEPrefix(label) {
+			continue
+		}
+		fast, ok := appendASCIILabel(x, nil, label)
+		if !ok {
+			t.Fatalf("%q: fast path refused a plain ASCII label", label)
+		}
+		runes, err := punycode.ToUnicodeLabelAppend(nil, label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slow := x.appendLabel(nil, runes); !bytes.Equal(fast, slow) {
+			t.Fatalf("%q: fast skeleton %q, rune path %q", label, fast, slow)
+		}
+	}
+	for _, l := range []string{"", "xn--ggle-55da", "XN--GGLE-55DA", "bücher", "abc\x80"} {
+		if _, ok := appendASCIILabel(x, nil, l); ok {
+			t.Errorf("%q: fast path taken", l)
+		}
+	}
+	// Case never changes what a pure-ASCII label matches.
+	for _, f := range manyToOneFixtures {
+		lower := d.DetectDomainBackend(f.label, BackendBoth)
+		upper := d.DetectDomainBackend(strings.ToUpper(f.label), BackendBoth)
+		if len(lower) == 0 || len(upper) != len(lower) || upper[0].Unicode != lower[0].Unicode || upper[0].Reference != lower[0].Reference {
+			t.Errorf("%q: uppercase spelling matches %v, lowercase %v", f.label, upper, lower)
+		}
+	}
+}
+
 func runesEq(a, b []rune) bool {
 	if len(a) != len(b) {
 		return false
@@ -306,14 +434,23 @@ func stringsEq(a, b []string) bool {
 // probe every backend starts with, on the miss path (the zone-scale
 // common case). CI publishes it as BENCH_skeleton.json and gates on its
 // zero allocations.
+// The ace case decodes its label; the ascii case is a plain zone name,
+// skeletonized straight from its bytes.
 func BenchmarkSkeletonLookup(b *testing.B) {
 	d := NewDetector(testDB(b), benchRefs())
-	fqdn := []byte("xn--ggle-55da.example.com")
-	d.DetectDomainBytesBackend(fqdn, BackendSkeleton)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.DetectDomainBytesBackend(fqdn, BackendSkeleton)
+	for _, c := range []struct{ name, fqdn string }{
+		{"ace", "xn--ggle-55da.example.com"},
+		{"ascii", "plain-ascii-miss.example.com"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			fqdn := []byte(c.fqdn)
+			d.DetectDomainBytesBackend(fqdn, BackendSkeleton)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.DetectDomainBytesBackend(fqdn, BackendSkeleton)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -90,7 +91,10 @@ func NewDetectorFromSnapshot(db *homoglyph.DB, s *Snapshot) (*Detector, error) {
 
 // skelFromSnapshot rebuilds the skeleton index verbatim from its
 // flattened form — no union-find, no re-expansion — validating every
-// count and reference id so a crafted snapshot fails loudly.
+// count and reference id so a crafted snapshot fails loudly. Each table
+// must be strictly ascending by key, the only layout Snapshot writes: a
+// duplicated key would otherwise overwrite silently, and the loaded
+// detector would no longer re-snapshot to the bytes it was loaded from.
 func skelFromSnapshot(s *Snapshot, numRefs int) (*skelIndex, error) {
 	if len(s.SkelReps) != len(s.SkelRepRunes) {
 		return nil, fmt.Errorf("core: snapshot skeleton rep table: %d runes, %d reps", len(s.SkelRepRunes), len(s.SkelReps))
@@ -100,6 +104,15 @@ func skelFromSnapshot(s *Snapshot, numRefs int) (*skelIndex, error) {
 	}
 	if len(s.SkelListLens) != len(s.SkelKeys) {
 		return nil, fmt.Errorf("core: snapshot skeleton ref index: %d keys, %d lengths", len(s.SkelKeys), len(s.SkelListLens))
+	}
+	if i := firstUnordered(s.SkelRepRunes); i >= 0 {
+		return nil, fmt.Errorf("core: snapshot skeleton rep table: rune %d not strictly ascending", i)
+	}
+	if i := firstUnordered(s.SkelSeqRunes); i >= 0 {
+		return nil, fmt.Errorf("core: snapshot skeleton seq table: rune %d not strictly ascending", i)
+	}
+	if i := firstUnordered(s.SkelKeys); i >= 0 {
+		return nil, fmt.Errorf("core: snapshot skeleton ref index: key %d not strictly ascending", i)
 	}
 	x := &skelIndex{
 		rep:  make(map[rune]rune, len(s.SkelRepRunes)),
@@ -138,5 +151,18 @@ func skelFromSnapshot(s *Snapshot, numRefs int) (*skelIndex, error) {
 	if idOff != len(s.SkelListIDs) {
 		return nil, fmt.Errorf("core: snapshot skeleton ids: %d trailing entries", len(s.SkelListIDs)-idOff)
 	}
+	x.buildASCII()
 	return x, nil
+}
+
+// firstUnordered returns the index of the first element of keys that
+// does not strictly exceed its predecessor, or -1 if keys is strictly
+// ascending.
+func firstUnordered[K cmp.Ordered](keys []K) int {
+	for i := 1; i < len(keys); i++ {
+		if keys[i] <= keys[i-1] {
+			return i
+		}
+	}
+	return -1
 }
